@@ -26,8 +26,7 @@
 //!
 //! * [`PartitionSpec`] carries only the knobs every algorithm shares (buckets, `ε`, seed,
 //!   iteration cap, objective, simulated workers). Algorithm-specific options live on the
-//!   adapter structs ([`IncrementalShp::with_previous`], [`DistributedShp::num_workers`] for
-//!   overriding the simulated machine count, …)
+//!   adapter structs ([`IncrementalShp::with_previous`], [`DistributedShp::mode`], …)
 //!   and are reachable through the registry's spec-aware [`AlgorithmRegistry::create`].
 //! * Every [`PartitionOutcome`] respects the spec's balance bound: adapters run
 //!   [`enforce_balance`] before computing metrics, so no bucket ever exceeds
@@ -546,8 +545,6 @@ impl Partitioner for ShpK {
 /// k-way distributed variant.
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedShp {
-    /// Overrides `spec.workers` when set.
-    pub num_workers: Option<usize>,
     /// Execution mode of the engine jobs (one job per split level in recursive mode).
     pub mode: PartitionMode,
 }
@@ -555,7 +552,6 @@ pub struct DistributedShp {
 impl Default for DistributedShp {
     fn default() -> Self {
         DistributedShp {
-            num_workers: None,
             mode: PartitionMode::recursive_bisection(),
         }
     }
@@ -565,7 +561,6 @@ impl DistributedShp {
     /// The direct k-way distributed variant (SHP-k on the BSP engine).
     pub fn direct() -> Self {
         DistributedShp {
-            num_workers: None,
             mode: PartitionMode::Direct,
         }
     }
@@ -583,9 +578,8 @@ impl Partitioner for DistributedShp {
         obs: &mut dyn ProgressObserver,
     ) -> ShpResult<PartitionOutcome> {
         spec.validate()?;
-        let workers = self.num_workers.unwrap_or(spec.workers).max(1);
         let config = spec.shp_config(self.mode);
-        let result = partition_distributed(graph, &config, workers)?;
+        let result = partition_distributed(graph, &config, spec.workers.max(1))?;
         let mut moves = 0u64;
         for stats in &result.history {
             obs.on_iteration(&IterationEvent {

@@ -4,28 +4,42 @@
 //! `shp-vertex-centric`:
 //!
 //! 1. **Collect buckets** — every data vertex sends its current bucket to its adjacent query
-//!    vertices.
+//!    vertices; in direct mode it also adds its weight to the master's bucket-weight
+//!    aggregate, from which the master picks the least-loaded bucket.
 //! 2. **Neighbor data** — every query vertex aggregates the received buckets into its neighbor
 //!    data `n_i(q)` and sends the non-zero entries back to its adjacent data vertices.
-//! 3. **Move gains** — every data vertex computes its move gains from the received neighbor
-//!    data, picks a target bucket, and contributes its proposal to the master's gain
-//!    histograms (the aggregate).
-//! 4. **Apply moves** — the master has turned the aggregated histograms into move
-//!    probabilities (the global value); every data vertex flips its deterministic coin and
-//!    moves accordingly.
+//! 3. **Move gains** — every data vertex runs the in-process gain kernel
+//!    ([`best_move_for_vertex_with`]) over the received neighbor data and contributes its
+//!    proposal to the master's gain histograms or swap matrix (the aggregate).
+//! 4. **Apply moves** — the master has turned the aggregate into [`MoveProbabilities`] with
+//!    the constructors the in-process [`Refiner`](crate::Refiner) uses (the global value);
+//!    every data vertex flips the refiner's deterministic coin and moves accordingly.
 //!
-//! The result is numerically equivalent to the in-process path for the same seed and swap
-//! strategy; what the distributed path adds is per-superstep communication accounting and the
-//! ability to scale the number of simulated workers (Figures 5a/5b, Table 3).
+//! The vertex program is a thin layer: the gain kernel, the move probabilities, the coin,
+//! the recursion schedule and the direct-mode start partition are the in-process code. What
+//! it adds is per-superstep communication accounting and the ability to scale the number of
+//! simulated workers (Figures 5a/5b, Table 3).
+//!
+//! # Relation to the in-process path
+//!
+//! The in-process refiner also guards every iteration with the `(1 + ε)` capacity check,
+//! which sorts all selected moves globally. A BSP master sees only the O(k²·bins) aggregate,
+//! so this path balances in expectation only (the [`api`](crate::api) adapter repairs the
+//! final partition). The result is therefore **bit-identical** to
+//! [`partition_recursive`](crate::partition_recursive) /
+//! [`partition_direct`](crate::partition_direct) whenever that guard drops no move, and
+//! balanced in expectation otherwise. `tests/parallel_conformance.rs`
+//! (`distributed_matches_in_process_when_the_capacity_guard_drops_nothing`) checks the
+//! bit-identity for both swap strategies, recursive and direct mode, and every worker count.
 
-use crate::config::{PartitionMode, ShpConfig, SwapStrategy};
-use crate::error::ShpResult;
-use crate::gains::{MoveProposal, TargetConstraint};
-use crate::histogram::{GainHistogramSet, NUM_BINS};
+use crate::config::{BalanceMode, PartitionMode, ShpConfig, SwapStrategy};
+use crate::error::{ShpError, ShpResult};
+use crate::gains::{best_move_for_vertex_with, GainScratch, MoveProposal, TargetConstraint};
+use crate::histogram::GainHistogramSet;
 use crate::objective::Objective;
-use crate::pair_table::PairTable;
-use crate::refinement::unit_hash;
-use rand::Rng;
+use crate::recursive::Schedule;
+use crate::refinement::move_taken;
+use crate::swap::{MoveProbabilities, SwapMatrix};
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
@@ -33,6 +47,7 @@ use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId,
 use shp_vertex_centric::{
     Context, Engine, EngineConfig, ExecutionMetrics, MasterOutcome, TopologyBuilder, VertexProgram,
 };
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Per-iteration statistics reported by the distributed master.
@@ -69,7 +84,7 @@ pub struct DistributedRunResult {
 enum ShpValue {
     Data {
         bucket: BucketId,
-        proposal: Option<(BucketId, f64)>,
+        proposal: Option<MoveProposal>,
     },
     Query,
 }
@@ -79,20 +94,25 @@ enum ShpValue {
 enum ShpMessage {
     /// Data → query: the sender's current bucket.
     Bucket(BucketId),
-    /// Query → data: the query's non-zero neighbor data.
-    NeighborData(Vec<(BucketId, u32)>),
+    /// Query → data: the query's non-zero neighbor data, shared by every copy the query
+    /// sends (a copy costs a reference count, not an allocation).
+    NeighborData(Arc<[(BucketId, u32)]>),
 }
 
 /// Per-superstep aggregate collected by the master.
 ///
-/// A vertex contributes at most one `proposal`; proposals are folded into the dense
-/// `histograms` table by [`VertexProgram::merge_aggregates`] as the per-worker accumulator
-/// absorbs them, so the per-vertex contribution stays O(1) (no per-vertex table allocation)
-/// while each worker builds exactly one histogram set per superstep.
+/// A vertex contributes at most one `weight` and one `proposal`;
+/// [`VertexProgram::merge_aggregates`] folds them into the dense `bucket_weights`, `histograms`
+/// and `swaps` tables as the per-worker accumulator absorbs them, so the per-vertex
+/// contribution stays O(1) (no per-vertex table allocation) while each worker builds one set
+/// of tables per superstep.
 #[derive(Debug, Clone, Default)]
 struct ShpAggregate {
-    histograms: GainHistogramSet,
+    weight: Option<(BucketId, u64)>,
     proposal: Option<MoveProposal>,
+    bucket_weights: Vec<u64>,
+    histograms: GainHistogramSet,
+    swaps: SwapMatrix,
     moved: u64,
     fanout_sum: u64,
 }
@@ -101,36 +121,28 @@ struct ShpAggregate {
 #[derive(Debug, Clone, Default)]
 struct ShpGlobal {
     iteration: usize,
-    probabilities: Option<PairTable<[f64; NUM_BINS]>>,
-    matrix_probabilities: Option<PairTable<f64>>,
+    least_loaded: BucketId,
+    probabilities: Option<MoveProbabilities>,
     pending_fanout: f64,
     history: Vec<DistributedIterationStats>,
 }
 
-/// The SHP vertex program.
-struct ShpProgram {
-    num_data: usize,
-    num_queries: usize,
+/// The SHP vertex program for one refinement run (one recursion level, or the whole direct
+/// optimization).
+struct ShpProgram<'g> {
+    graph: &'g BipartiteGraph,
     objective: Objective,
     constraint: TargetConstraint,
     swap_strategy: SwapStrategy,
     max_iterations: usize,
     convergence_threshold: f64,
     seed: u64,
+    /// One gain scratch per simulated worker (vertex `v` runs on worker `v mod W`), so the
+    /// kernel allocates nothing per vertex; the lock is uncontended.
+    scratches: Vec<Mutex<GainScratch>>,
 }
 
-impl ShpProgram {
-    fn allowed_targets(&self, from: BucketId) -> Option<&[BucketId]> {
-        match &self.constraint {
-            TargetConstraint::All { .. } => None,
-            TargetConstraint::Siblings { allowed } => {
-                allowed.get(from as usize).map(|v| v.as_slice())
-            }
-        }
-    }
-}
-
-impl VertexProgram for ShpProgram {
+impl VertexProgram for ShpProgram<'_> {
     type Value = ShpValue;
     type Message = ShpMessage;
     type Aggregate = ShpAggregate;
@@ -149,31 +161,53 @@ impl VertexProgram for ShpProgram {
                 0 => {
                     // Superstep 1: send the current bucket to all adjacent queries.
                     ctx.send_to_neighbors(ShpMessage::Bucket(*bucket));
+                    if matches!(self.constraint, TargetConstraint::All { .. }) {
+                        let weight = self.graph.data_weight(vertex) as u64;
+                        ctx.aggregate(ShpAggregate {
+                            weight: Some((*bucket, weight)),
+                            ..Default::default()
+                        });
+                    }
                 }
                 2 => {
-                    // Superstep 3: compute move gains from the received neighbor data. The
-                    // contribution carries the bare proposal; the per-worker accumulator folds
-                    // it into its dense histogram table (see `merge_aggregates`).
-                    *proposal = compute_distributed_proposal(self, *bucket, messages);
-                    if let Some((to, gain)) = *proposal {
+                    // Superstep 3: the in-process gain kernel over the received neighbor data,
+                    // which the engine delivers in ascending query order. That is the order of
+                    // `data_neighbors(v)` for every graph: `GraphBuilder`'s transpose emits it and
+                    // `.shpb` loading rejects any other.
+                    let entries = messages.iter().filter_map(|m| match m {
+                        ShpMessage::NeighborData(counts) => Some(&counts[..]),
+                        ShpMessage::Bucket(_) => None,
+                    });
+                    let mut scratch = self.scratches[vertex as usize % self.scratches.len()]
+                        .lock()
+                        .expect("a vertex panicked while holding the gain scratch");
+                    let include_nonpositive = self.swap_strategy == SwapStrategy::Histogram;
+                    *proposal = best_move_for_vertex_with(
+                        &self.objective,
+                        entries,
+                        *bucket,
+                        &self.constraint,
+                        ctx.global().least_loaded,
+                        &mut scratch,
+                        vertex,
+                    )
+                    .filter(|p| include_nonpositive || p.gain > 0.0);
+                    if proposal.is_some() {
                         ctx.aggregate(ShpAggregate {
-                            proposal: Some(MoveProposal {
-                                vertex,
-                                from: *bucket,
-                                to,
-                                gain,
-                            }),
+                            proposal: *proposal,
                             ..Default::default()
                         });
                     }
                 }
                 3 => {
                     // Superstep 4: apply the move with the master-provided probability.
-                    if let Some((to, gain)) = proposal.take() {
-                        let prob = lookup_probability(ctx.global(), *bucket, to, gain);
-                        let iteration = ctx.global().iteration as u64;
-                        if prob > 0.0 && unit_hash(self.seed, iteration, vertex as u64) < prob {
-                            *bucket = to;
+                    if let Some(p) = proposal.take() {
+                        let global = ctx.global();
+                        let taken = global.probabilities.as_ref().is_some_and(|probabilities| {
+                            move_taken(probabilities, self.seed, global.iteration, &p)
+                        });
+                        if taken {
+                            *bucket = p.to;
                             ctx.aggregate(ShpAggregate {
                                 moved: 1,
                                 ..Default::default()
@@ -201,7 +235,7 @@ impl VertexProgram for ShpProgram {
                             fanout_sum: counts.len() as u64,
                             ..Default::default()
                         });
-                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts));
+                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts.into()));
                     }
                 }
             }
@@ -209,15 +243,22 @@ impl VertexProgram for ShpProgram {
     }
 
     fn merge_aggregates(&self, mut a: ShpAggregate, b: ShpAggregate) -> ShpAggregate {
+        // Fold the single contributions into the accumulator's tables; every table holds
+        // commutative counters, so any merge association yields the same aggregate.
+        for (bucket, weight) in [a.weight.take(), b.weight].into_iter().flatten() {
+            add_weight(&mut a.bucket_weights, bucket, weight);
+        }
+        for (bucket, &weight) in b.bucket_weights.iter().enumerate() {
+            add_weight(&mut a.bucket_weights, bucket as BucketId, weight);
+        }
+        for p in [a.proposal.take(), b.proposal].into_iter().flatten() {
+            match self.swap_strategy {
+                SwapStrategy::Histogram => a.histograms.record(&p),
+                SwapStrategy::Matrix => a.swaps.record(&p),
+            }
+        }
         a.histograms.merge(&b.histograms);
-        // Fold pending single-proposal contributions into the accumulator's table; histogram
-        // bins are commutative counters, so any merge association yields the same set.
-        if let Some(p) = b.proposal {
-            a.histograms.record(&p);
-        }
-        if let Some(p) = a.proposal.take() {
-            a.histograms.record(&p);
-        }
+        a.swaps.merge(&b.swaps);
         a.moved += b.moved;
         a.fanout_sum += b.fanout_sum;
         a
@@ -234,27 +275,22 @@ impl VertexProgram for ShpProgram {
             1 => {
                 // End of the neighbor-data superstep: remember the fanout observed this
                 // iteration.
-                global.pending_fanout = if self.num_queries == 0 {
+                let num_queries = self.graph.num_queries();
+                global.pending_fanout = if num_queries == 0 {
                     0.0
                 } else {
-                    aggregate.fanout_sum as f64 / self.num_queries as f64
+                    aggregate.fanout_sum as f64 / num_queries as f64
                 };
                 MasterOutcome::Continue(global)
             }
             2 => {
-                // End of the gain superstep: turn the aggregated histograms into move
-                // probabilities.
-                match self.swap_strategy {
+                // End of the gain superstep: turn the aggregate into move probabilities.
+                global.probabilities = Some(match self.swap_strategy {
                     SwapStrategy::Histogram => {
-                        global.probabilities = Some(aggregate.histograms.match_bins());
-                        global.matrix_probabilities = None;
+                        MoveProbabilities::from_histograms(&aggregate.histograms)
                     }
-                    SwapStrategy::Matrix => {
-                        global.matrix_probabilities =
-                            Some(matrix_probabilities(&aggregate.histograms));
-                        global.probabilities = None;
-                    }
-                }
+                    SwapStrategy::Matrix => aggregate.swaps.move_probabilities(),
+                });
                 MasterOutcome::Continue(global)
             }
             3 => {
@@ -267,8 +303,7 @@ impl VertexProgram for ShpProgram {
                 });
                 global.iteration += 1;
                 global.probabilities = None;
-                global.matrix_probabilities = None;
-                let moved_fraction = moved as f64 / self.num_data.max(1) as f64;
+                let moved_fraction = moved as f64 / self.graph.num_data().max(1) as f64;
                 if global.iteration >= self.max_iterations
                     || moved_fraction < self.convergence_threshold
                 {
@@ -282,12 +317,18 @@ impl VertexProgram for ShpProgram {
             }
             _ => {
                 // End of the bucket-collection superstep: halt cleanly if the previous
-                // iteration decided to stop.
+                // iteration decided to stop; otherwise pick the least-loaded bucket (the
+                // lowest-indexed one of minimum weight, as `Partition` keeps it).
                 if global.iteration >= self.max_iterations {
-                    MasterOutcome::Halt
-                } else {
-                    MasterOutcome::Continue(global)
+                    return MasterOutcome::Halt;
                 }
+                if let TargetConstraint::All { k } = self.constraint {
+                    let weights = &aggregate.bucket_weights;
+                    global.least_loaded = (0..k)
+                        .min_by_key(|&b| weights.get(b as usize).copied().unwrap_or(0))
+                        .unwrap_or(0);
+                }
+                MasterOutcome::Continue(global)
             }
         }
     }
@@ -300,245 +341,94 @@ impl VertexProgram for ShpProgram {
     }
 }
 
-/// Computes the best proposal of a data vertex from the neighbor data it received.
-///
-/// Candidate deltas live in a bucket-sorted `Vec` (binary-search insertion) instead of a hash
-/// map: the candidate set is bounded by the received fanout, accumulation per bucket happens in
-/// the same message-visit order, and the final scan needs no sort — the result is bit-identical
-/// to the previous hash-map implementation without any hashing.
-fn compute_distributed_proposal(
-    program: &ShpProgram,
-    from: BucketId,
-    messages: &[ShpMessage],
-) -> Option<(BucketId, f64)> {
-    // Gain of moving to a bucket none of the adjacent queries touch, plus per-candidate deltas.
-    let mut base_gain = 0.0;
-    let mut deltas: Vec<(BucketId, f64)> = Vec::new();
-    let add_delta = |deltas: &mut Vec<(BucketId, f64)>, b: BucketId, adjustment: f64| match deltas
-        .binary_search_by_key(&b, |&(bb, _)| bb)
-    {
-        Ok(idx) => deltas[idx].1 += adjustment,
-        Err(idx) => deltas.insert(idx, (b, adjustment)),
-    };
-    let allowed = program.allowed_targets(from);
-    for message in messages {
-        let counts = match message {
-            ShpMessage::NeighborData(counts) => counts,
-            ShpMessage::Bucket(_) => continue,
-        };
-        let n_src = counts
-            .iter()
-            .find(|&&(b, _)| b == from)
-            .map(|&(_, c)| c)
-            .unwrap_or(1);
-        base_gain += program.objective.per_query_gain(n_src, 0);
-        match allowed {
-            None => {
-                for &(b, c) in counts {
-                    if b == from {
-                        continue;
-                    }
-                    let adjustment = program.objective.per_query_gain(n_src, c)
-                        - program.objective.per_query_gain(n_src, 0);
-                    add_delta(&mut deltas, b, adjustment);
-                }
-            }
-            Some(targets) => {
-                for &b in targets {
-                    if b == from {
-                        continue;
-                    }
-                    let n_dst = counts
-                        .iter()
-                        .find(|&&(bb, _)| bb == b)
-                        .map(|&(_, c)| c)
-                        .unwrap_or(0);
-                    let adjustment = program.objective.per_query_gain(n_src, n_dst)
-                        - program.objective.per_query_gain(n_src, 0);
-                    add_delta(&mut deltas, b, adjustment);
-                }
-            }
-        }
+/// Adds `weight` to `bucket`'s slot, growing the table as needed.
+fn add_weight(weights: &mut Vec<u64>, bucket: BucketId, weight: u64) {
+    let b = bucket as usize;
+    if weights.len() <= b {
+        weights.resize(b + 1, 0);
     }
-    if let Some(targets) = allowed {
-        // Ensure every allowed sibling is a candidate even when untouched by any query.
-        for &b in targets {
-            if b != from {
-                if let Err(idx) = deltas.binary_search_by_key(&b, |&(bb, _)| bb) {
-                    deltas.insert(idx, (b, 0.0));
-                }
-            }
-        }
-    }
-    let mut best: Option<(BucketId, f64)> = None;
-    for (b, delta) in deltas {
-        let gain = base_gain + delta;
-        best = match best {
-            Some((bb, bg)) if bg > gain || (bg == gain && bb <= b) => Some((bb, bg)),
-            _ => Some((b, gain)),
-        };
-    }
-    best
-}
-
-/// Looks up the move probability for a proposal in the broadcast global value.
-fn lookup_probability(global: &ShpGlobal, from: BucketId, to: BucketId, gain: f64) -> f64 {
-    if let Some(table) = &global.probabilities {
-        return table
-            .get(from, to)
-            .map(|bins| bins[crate::histogram::bin_index(gain)])
-            .unwrap_or(0.0);
-    }
-    if let Some(table) = &global.matrix_probabilities {
-        if gain > 0.0 {
-            return table.get(from, to).copied().unwrap_or(0.0);
-        }
-    }
-    0.0
-}
-
-/// Derives the basic swap-matrix probabilities `min(S_ij, S_ji)/S_ij` from gain histograms by
-/// counting the positive-gain candidates of every ordered pair.
-fn matrix_probabilities(set: &GainHistogramSet) -> PairTable<f64> {
-    let positive_count = |from: BucketId, to: BucketId| -> u64 {
-        set.get(from, to)
-            .map(|h| {
-                (0..NUM_BINS)
-                    .filter(|&b| crate::histogram::bin_representative(b) > 0.0)
-                    .map(|b| h.count(b))
-                    .sum()
-            })
-            .unwrap_or(0)
-    };
-    // The match_bins result contains exactly the ordered pairs recorded (both directions).
-    let matched = set.match_bins();
-    let mut seen: Vec<(BucketId, BucketId)> = matched.keys().collect();
-    seen.sort_unstable();
-    seen.dedup();
-    let mut probs = PairTable::new(matched.num_buckets(), 0.0f64);
-    for (i, j) in seen {
-        let s_ij = positive_count(i, j);
-        if s_ij == 0 {
-            continue;
-        }
-        let s_ji = positive_count(j, i);
-        probs.insert(i, j, s_ij.min(s_ji) as f64 / s_ij as f64);
-    }
-    probs
+    weights[b] += weight;
 }
 
 /// Runs the distributed SHP on `num_workers` simulated workers.
 ///
-/// Direct mode runs one engine job; recursive mode runs one engine job per recursion level with
-/// the appropriate sibling constraints, exactly as the Giraph implementation schedules one job
-/// per split level.
+/// Direct mode runs one engine job from the seeded random partition of
+/// [`partition_direct`](crate::partition_direct); recursive mode runs one engine job per level
+/// of the recursion schedule of [`partition_recursive`](crate::partition_recursive), exactly
+/// as the Giraph implementation schedules one job per split level.
 ///
 /// # Errors
-/// Returns [`ShpError::InvalidConfig`](crate::ShpError::InvalidConfig) when the configuration
-/// is invalid.
+/// Returns [`ShpError::InvalidConfig`] when the configuration is invalid, or when it asks for
+/// [`BalanceMode::Strict`] or `allow_imbalanced_moves`: both act in the in-process capacity
+/// guard, which needs every selected move at once and has no BSP counterpart.
 pub fn partition_distributed(
     graph: &BipartiteGraph,
     config: &ShpConfig,
     num_workers: usize,
 ) -> ShpResult<DistributedRunResult> {
     config.validate()?;
+    if config.balance_mode == BalanceMode::Strict {
+        return Err(ShpError::InvalidConfig(
+            "balance_mode: Strict is not supported by partition_distributed (the BSP master \
+             balances in expectation)"
+                .into(),
+        ));
+    }
+    if config.allow_imbalanced_moves {
+        return Err(ShpError::InvalidConfig(
+            "allow_imbalanced_moves: not supported by partition_distributed (the BSP master \
+             balances in expectation)"
+                .into(),
+        ));
+    }
     let start = Instant::now();
-    let mut rng = Pcg64::seed_from_u64(config.seed);
     let mut metrics = ExecutionMetrics::new(num_workers);
     let mut history = Vec::new();
+    let mut job = |assignment: Vec<BucketId>, objective, constraint, num_buckets, seed| {
+        let program = ShpProgram {
+            graph,
+            objective,
+            constraint,
+            swap_strategy: config.swap_strategy,
+            max_iterations: config.max_iterations,
+            convergence_threshold: config.convergence_threshold,
+            seed,
+            scratches: (0..num_workers)
+                .map(|_| Mutex::new(GainScratch::new(num_buckets)))
+                .collect(),
+        };
+        run_job(program, assignment, num_workers, &mut metrics, &mut history)
+    };
 
-    let partition = match config.mode {
+    let assignment = match config.mode {
         PartitionMode::Direct => {
-            let initial: Vec<BucketId> = (0..graph.num_data())
-                .map(|_| rng.gen_range(0..config.num_buckets))
-                .collect();
-            let objective = Objective::from_kind(config.objective);
-            let constraint = TargetConstraint::all(config.num_buckets);
-            let final_assignment = run_level(
-                graph,
-                config,
-                &initial,
-                objective,
-                constraint,
-                config.max_iterations,
-                num_workers,
+            let mut rng = Pcg64::seed_from_u64(config.seed);
+            let initial = Partition::new_random(graph, config.num_buckets, &mut rng)?;
+            job(
+                initial.into_assignment(),
+                Objective::from_kind(config.objective),
+                TargetConstraint::all(config.num_buckets),
+                config.num_buckets,
                 config.seed,
-                &mut metrics,
-                &mut history,
-            );
-            Partition::from_assignment(graph, config.num_buckets, final_assignment)?
+            )
         }
-        PartitionMode::Recursive { arity } => {
+        PartitionMode::Recursive { .. } => {
+            let mut schedule = Schedule::new(config)?;
             let mut assignment: Vec<BucketId> = vec![0; graph.num_data()];
-            let mut targets: Vec<u32> = vec![config.num_buckets];
-            let mut level = 0usize;
-            while targets.iter().any(|&t| t > 1) {
-                // Split every group into up to `arity` children.
-                let mut children_of: Vec<Vec<BucketId>> = Vec::with_capacity(targets.len());
-                let mut child_targets: Vec<u32> = Vec::new();
-                for &t in &targets {
-                    let num_children = t.min(arity).max(1);
-                    let mut ids = Vec::new();
-                    for c in 0..num_children {
-                        ids.push(child_targets.len() as BucketId);
-                        let base = t / num_children;
-                        let extra = t % num_children;
-                        child_targets.push(if c < extra { base + 1 } else { base });
-                    }
-                    children_of.push(ids);
-                }
-                let seed = config
-                    .seed
-                    .wrapping_add((level as u64).wrapping_mul(0x9E37_79B9));
-                // Random initial assignment among the children, weighted by child targets.
-                for (v, slot) in assignment.iter_mut().enumerate() {
-                    let children = &children_of[*slot as usize];
-                    *slot = if children.len() == 1 {
-                        children[0]
-                    } else {
-                        let total: u32 = children.iter().map(|&c| child_targets[c as usize]).sum();
-                        let r = unit_hash(seed, 0x5EED, v as u64) * total as f64;
-                        let mut acc = 0.0;
-                        let mut chosen = children[children.len() - 1];
-                        for &c in children {
-                            acc += child_targets[c as usize] as f64;
-                            if r < acc {
-                                chosen = c;
-                                break;
-                            }
-                        }
-                        chosen
-                    };
-                }
-                let sibling_groups: Vec<Vec<BucketId>> = children_of
-                    .iter()
-                    .filter(|c| c.len() > 1)
-                    .cloned()
-                    .collect();
-                let constraint = TargetConstraint::sibling_groups(&sibling_groups);
-                let mut objective = Objective::from_kind(config.objective);
-                if config.optimize_final_p_fanout {
-                    objective = objective
-                        .for_final_splits(child_targets.iter().copied().max().unwrap_or(1));
-                }
-                assignment = run_level(
-                    graph,
-                    config,
-                    &assignment,
-                    objective,
-                    constraint,
-                    config.max_iterations,
-                    num_workers,
-                    seed,
-                    &mut metrics,
-                    &mut history,
+            while !schedule.is_done() {
+                let level = schedule.next_level(&assignment);
+                assignment = job(
+                    level.assignment,
+                    level.objective,
+                    level.constraint,
+                    level.num_buckets,
+                    level.seed,
                 );
-                targets = child_targets;
-                level += 1;
             }
-            Partition::from_assignment(graph, config.num_buckets, assignment)?
+            assignment
         }
     };
+    let partition = Partition::from_assignment(graph, config.num_buckets, assignment)?;
 
     Ok(DistributedRunResult {
         final_fanout: average_fanout(graph, &partition),
@@ -550,49 +440,31 @@ pub fn partition_distributed(
     })
 }
 
-/// Runs one engine job (one recursion level or the whole direct optimization), returning the
-/// final bucket assignment.
-#[allow(clippy::too_many_arguments)]
-fn run_level(
-    graph: &BipartiteGraph,
-    config: &ShpConfig,
-    initial_assignment: &[BucketId],
-    objective: Objective,
-    constraint: TargetConstraint,
-    max_iterations: usize,
+/// Runs one engine job of `program` from `initial_assignment`, appending its history and
+/// communication metrics, and returns the final bucket assignment.
+fn run_job(
+    program: ShpProgram<'_>,
+    initial_assignment: Vec<BucketId>,
     num_workers: usize,
-    seed: u64,
     metrics: &mut ExecutionMetrics,
     history: &mut Vec<DistributedIterationStats>,
 ) -> Vec<BucketId> {
+    let graph = program.graph;
     let num_data = graph.num_data();
-    let num_queries = graph.num_queries();
     // Vertex universe: data vertices first, then query vertices.
-    let mut topo = TopologyBuilder::new(num_data + num_queries);
+    let mut topo = TopologyBuilder::new(num_data + graph.num_queries());
     for (q, v) in graph.edges() {
         topo.add_undirected_edge(num_data as u32 + q, v);
     }
-    let mut values: Vec<ShpValue> = Vec::with_capacity(num_data + num_queries);
-    for &b in initial_assignment {
-        values.push(ShpValue::Data {
-            bucket: b,
+    let values: Vec<ShpValue> = initial_assignment
+        .into_iter()
+        .map(|bucket| ShpValue::Data {
+            bucket,
             proposal: None,
-        });
-    }
-    for _ in 0..num_queries {
-        values.push(ShpValue::Query);
-    }
-    let program = ShpProgram {
-        num_data,
-        num_queries,
-        objective,
-        constraint,
-        swap_strategy: config.swap_strategy,
-        max_iterations,
-        convergence_threshold: config.convergence_threshold,
-        seed,
-    };
-    let engine_config = EngineConfig::new(num_workers, max_iterations * 4 + 4);
+        })
+        .chain(std::iter::repeat_n(ShpValue::Query, graph.num_queries()))
+        .collect();
+    let engine_config = EngineConfig::new(num_workers, program.max_iterations * 4 + 4);
     let mut engine = Engine::new(program, topo.build(), values, engine_config);
     engine.run();
 
@@ -710,5 +582,30 @@ mod tests {
     fn invalid_config_is_rejected() {
         let graph = community_graph(2, 4);
         assert!(partition_distributed(&graph, &ShpConfig::direct(0), 2).is_err());
+    }
+
+    #[test]
+    fn strict_balance_mode_is_rejected_by_name() {
+        let graph = community_graph(2, 4);
+        let config = ShpConfig::direct(2).with_balance_mode(BalanceMode::Strict);
+        match partition_distributed(&graph, &config, 2) {
+            Err(ShpError::InvalidConfig(msg)) => assert!(msg.contains("balance_mode"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn imbalanced_moves_are_rejected_by_name() {
+        let graph = community_graph(2, 4);
+        let config = ShpConfig {
+            allow_imbalanced_moves: true,
+            ..ShpConfig::recursive_bisection(2)
+        };
+        match partition_distributed(&graph, &config, 2) {
+            Err(ShpError::InvalidConfig(msg)) => {
+                assert!(msg.contains("allow_imbalanced_moves"), "{msg}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 }

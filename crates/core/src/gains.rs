@@ -3,7 +3,9 @@
 //! This is the "compute move gains / find best bucket" phase of Algorithm 1. Gains are computed
 //! from the per-query [`NeighborData`] in `O(Σ_{q ∈ N(v)} fanout(q))` per vertex — the zero
 //! entries of the neighbor data never need to be touched, mirroring the communication
-//! optimization of Section 3.3.
+//! optimization of Section 3.3. The kernel reads only a vertex's per-query entries, so the
+//! in-process refiner and superstep 3 of the BSP program ([`crate::distributed`]) run the same
+//! code.
 //!
 //! # The scratch kernel and its determinism contract
 //!
@@ -28,7 +30,7 @@
 //! harness can assert bit-identical `MoveProposal` lists (including float bit patterns)
 //! between the two implementations. Production call sites always use [`GainKernel::Scratch`].
 
-use crate::neighbor_data::NeighborData;
+use crate::neighbor_data::{count_in, NeighborData};
 use crate::objective::Objective;
 use shp_hypergraph::{BipartiteGraph, BucketId, DataId, Partition};
 use std::collections::HashMap;
@@ -172,6 +174,16 @@ impl GainScratch {
     }
 }
 
+/// The per-query neighbor entries of vertex `v`, in `data_neighbors(v)` order: the input of
+/// [`best_move_for_vertex_with`] on the in-process path.
+fn query_entries<'a>(
+    graph: &'a BipartiteGraph,
+    nd: &'a NeighborData,
+    v: DataId,
+) -> impl Iterator<Item = &'a [(BucketId, u32)]> + Clone + 'a {
+    graph.data_neighbors(v).iter().map(move |&q| nd.nonzero(q))
+}
+
 /// Computes the best move proposal for a single vertex under the given constraint, or `None`
 /// when the vertex has no admissible target (e.g. an isolated vertex under `All` with every
 /// candidate equal to its own bucket).
@@ -193,9 +205,8 @@ pub fn best_move_for_vertex(
     let mut scratch = GainScratch::new(partition.num_buckets());
     best_move_for_vertex_with(
         objective,
-        graph,
-        partition,
-        nd,
+        query_entries(graph, nd, v),
+        partition.bucket_of(v),
         constraint,
         least_loaded,
         &mut scratch,
@@ -203,33 +214,38 @@ pub fn best_move_for_vertex(
     )
 }
 
-/// The allocation-free gain kernel: like [`best_move_for_vertex`] but reusing a caller-provided
-/// [`GainScratch`] (which must cover at least `partition.num_buckets()` buckets). Zero heap
+/// The allocation-free gain kernel of Algorithm 1, shared by both execution paths.
+///
+/// `entries` yields the non-zero `(bucket, count)` neighbor data of each query adjacent to
+/// vertex `v` (currently in bucket `from`), one slice per query: `nd.nonzero(q)` in process,
+/// the received neighbor-data messages in superstep 3 of the BSP program. The result depends
+/// on the order of the queries (floating-point sums), so both paths feed them in
+/// `data_neighbors(v)` order. `scratch` must cover every bucket the entries mention. Zero heap
 /// allocation, zero hashing; only the touched-bucket list (at most the vertex's neighborhood
 /// fanout) is sorted. Bit-identical to the legacy hash-map kernel — see the module docs.
-#[allow(clippy::too_many_arguments)]
-pub fn best_move_for_vertex_with(
+pub fn best_move_for_vertex_with<'e>(
     objective: &Objective,
-    graph: &BipartiteGraph,
-    partition: &Partition,
-    nd: &NeighborData,
+    entries: impl Iterator<Item = &'e [(BucketId, u32)]> + Clone,
+    from: BucketId,
     constraint: &TargetConstraint,
     least_loaded: BucketId,
     scratch: &mut GainScratch,
     v: DataId,
 ) -> Option<MoveProposal> {
-    let from = partition.bucket_of(v);
     match constraint {
         TargetConstraint::Siblings { allowed } => {
             // The sibling candidate set is tiny (the recursion arity); per-target exact gains
-            // need no scratch and match the historical summation order exactly.
+            // need no scratch and match `move_gain`'s summation order exactly.
             let targets = allowed.get(from as usize)?;
             let mut best: Option<(BucketId, f64)> = None;
             for &to in targets {
                 if to == from {
                     continue;
                 }
-                let gain = move_gain(objective, graph, partition, nd, v, to);
+                let gain: f64 = entries
+                    .clone()
+                    .map(|e| objective.per_query_gain(count_in(e, from), count_in(e, to)))
+                    .sum();
                 best = match best {
                     Some((bb, bg)) if bg > gain || (bg == gain && bb < to) => Some((bb, bg)),
                     _ => Some((to, gain)),
@@ -246,7 +262,6 @@ pub fn best_move_for_vertex_with(
             if *k <= 1 {
                 return None;
             }
-            debug_assert!(scratch.num_buckets() >= partition.num_buckets());
             // One fused pass per query: find `n_from` with a linear scan of the (tiny) entry
             // list, evaluate the escape gain `g0 = per_query_gain(n_from, 0)` once, and reuse
             // it for the base gain and for every entry's adjustment. Bit-identical to the
@@ -256,8 +271,7 @@ pub fn best_move_for_vertex_with(
             // `n_from` (reusing it cannot change a single bit), and per-bucket delta
             // accumulation keeps the same (query, entry) visit order.
             let mut base_gain = -0.0f64;
-            for &q in graph.data_neighbors(v) {
-                let entries = nd.nonzero(q);
+            for entries in entries {
                 let mut n_from = 0u32;
                 for &(b, c) in entries {
                     if b == from {
@@ -445,15 +459,15 @@ pub fn compute_proposals_with_kernel(
             workers,
             || GainScratch::new(partition.num_buckets()),
             |scratch, v| {
+                let v = v as DataId;
                 best_move_for_vertex_with(
                     objective,
-                    graph,
-                    partition,
-                    nd,
+                    query_entries(graph, nd, v),
+                    partition.bucket_of(v),
                     constraint,
                     least_loaded,
                     scratch,
-                    v as DataId,
+                    v,
                 )
                 .filter(|p| include_nonpositive || p.gain > 0.0)
             },
@@ -499,15 +513,15 @@ pub fn compute_proposals_for(
             workers,
             || GainScratch::new(partition.num_buckets()),
             |scratch, i| {
+                let v = vertices[i];
                 best_move_for_vertex_with(
                     objective,
-                    graph,
-                    partition,
-                    nd,
+                    query_entries(graph, nd, v),
+                    partition.bucket_of(v),
                     constraint,
                     least_loaded,
                     scratch,
-                    vertices[i],
+                    v,
                 )
             },
         ),
@@ -716,8 +730,15 @@ mod tests {
         let mut scratch = GainScratch::new(2);
         // Reusing one scratch sequentially must match fresh-scratch computation per vertex.
         for v in 0..6u32 {
-            let reused =
-                best_move_for_vertex_with(&obj, &g, &p, &nd, &constraint, 0, &mut scratch, v);
+            let reused = best_move_for_vertex_with(
+                &obj,
+                query_entries(&g, &nd, v),
+                p.bucket_of(v),
+                &constraint,
+                0,
+                &mut scratch,
+                v,
+            );
             let fresh = best_move_for_vertex(&obj, &g, &p, &nd, &constraint, 0, v);
             assert_eq!(reused, fresh, "vertex {v}");
         }

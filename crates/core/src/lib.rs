@@ -11,10 +11,15 @@
 //!   SHP-2 / SHP-r), whose refinement sweeps — gain computation, neighbor-data and
 //!   gain-histogram construction — run on the rayon shim's scoped thread pool with
 //!   `ShpConfig::workers` (`PartitionSpec::workers`) threads, and
-//! * the distributed path ([`distributed::partition_distributed`]) which runs the identical
-//!   four-superstep iteration (Figure 3 of the paper) on the vertex-centric BSP engine of
-//!   `shp-vertex-centric`, with per-superstep communication accounting and one real thread
-//!   per simulated worker.
+//! * the distributed path ([`distributed::partition_distributed`]) which drives the same gain
+//!   kernel, move probabilities and recursion schedule as four supersteps per iteration
+//!   (Figure 3 of the paper) on the vertex-centric BSP engine of `shp-vertex-centric`, with
+//!   per-superstep communication accounting and one real thread per simulated worker. Its
+//!   result is bit-identical to [`partition_recursive`] / [`partition_direct`] whenever the
+//!   in-process `(1 + ε)` capacity guard drops no move, and otherwise balanced in
+//!   expectation only (a BSP master cannot sort every selected move); the conformance test
+//!   `distributed_matches_in_process_when_the_capacity_guard_drops_nothing` in
+//!   `tests/parallel_conformance.rs` checks the bit-identity.
 //!
 //! # Determinism contract
 //!

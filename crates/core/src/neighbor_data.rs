@@ -7,6 +7,15 @@
 
 use shp_hypergraph::{BipartiteGraph, BucketId, DataId, Partition, QueryId};
 
+/// The count of bucket `b` in one query's bucket-sorted non-zero entries (0 if absent).
+#[inline]
+pub(crate) fn count_in(entries: &[(BucketId, u32)], b: BucketId) -> u32 {
+    match entries.binary_search_by_key(&b, |&(bb, _)| bb) {
+        Ok(idx) => entries[idx].1,
+        Err(_) => 0,
+    }
+}
+
 /// Sparse per-query bucket counts, kept in sync with the partition by the refinement loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborData {
@@ -51,11 +60,7 @@ impl NeighborData {
     /// Number of pins of query `q` in bucket `b` (0 if none).
     #[inline]
     pub fn count(&self, q: QueryId, b: BucketId) -> u32 {
-        let entry = &self.counts[q as usize];
-        match entry.binary_search_by_key(&b, |&(bb, _)| bb) {
-            Ok(idx) => entry[idx].1,
-            Err(_) => 0,
-        }
+        count_in(&self.counts[q as usize], b)
     }
 
     /// The non-zero `(bucket, count)` entries of query `q`, sorted by bucket.

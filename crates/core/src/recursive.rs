@@ -11,18 +11,10 @@ use crate::error::{ShpError, ShpResult};
 use crate::gains::TargetConstraint;
 use crate::neighbor_data::NeighborData;
 use crate::objective::Objective;
-use crate::refinement::Refiner;
+use crate::refinement::{unit_hash, Refiner};
 use crate::report::{LevelReport, PartitionResult, RunReport};
 use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId, Partition};
 use std::time::Instant;
-
-/// Per-bucket bookkeeping during the recursion: how many final buckets this bucket must still
-/// be divided into.
-#[derive(Debug, Clone)]
-struct Group {
-    /// Number of final buckets this group is responsible for (`1` = leaf, no further splits).
-    targets: u32,
-}
 
 /// Partitions `graph` into `config.num_buckets` buckets by recursive splitting with the arity
 /// of `config.mode` (SHP-2 when the arity is 2).
@@ -35,61 +27,157 @@ pub fn partition_recursive(
     config: &ShpConfig,
 ) -> ShpResult<PartitionResult> {
     config.validate()?;
-    let arity = match config.mode {
-        PartitionMode::Recursive { arity } => arity,
-        PartitionMode::Direct => {
-            return Err(ShpError::InvalidConfig(
-                "partition_recursive called with direct mode".into(),
-            ))
-        }
-    };
-    let k = config.num_buckets;
+    let mut schedule = Schedule::new(config)?;
     let start = Instant::now();
     let run_span = shp_telemetry::Span::enter("partition/recursive");
 
     // All vertices start in a single bucket responsible for k final buckets.
     let mut partition = Partition::new_uniform(graph, 1)?;
-    let mut groups = vec![Group { targets: k }];
-
-    let total_levels = total_levels(k, arity);
     let mut history = Vec::new();
     let mut levels = Vec::new();
-    let mut level = 0usize;
 
-    while groups.iter().any(|g| g.targets > 1) {
+    while !schedule.is_done() {
         let _level_span = run_span.child("level");
         let level_start = Instant::now();
+        let level = schedule.next_level(partition.assignment());
+        partition = Partition::from_assignment(graph, level.num_buckets, level.assignment)?;
 
-        // Decide the children of every current bucket.
-        let mut children_of: Vec<Vec<BucketId>> = Vec::with_capacity(groups.len());
+        let refiner = Refiner::new(
+            graph,
+            level.objective,
+            level.constraint,
+            config.swap_strategy,
+            config.balance_mode,
+            config.allow_imbalanced_moves,
+            level.epsilon,
+            level.seed,
+        )
+        .with_workers(config.workers);
+        let mut nd = NeighborData::build_with_workers(graph, &partition, config.workers);
+        let level_history = refiner.run(
+            &mut partition,
+            &mut nd,
+            config.max_iterations,
+            config.convergence_threshold,
+        );
+
+        levels.push(LevelReport {
+            level: level.index,
+            buckets_after: level.num_buckets,
+            iterations: level_history.len(),
+            fanout_after: nd.average_fanout(),
+            elapsed: level_start.elapsed(),
+        });
+        history.extend(level_history);
+    }
+
+    debug_assert_eq!(partition.num_buckets(), config.num_buckets);
+    let elapsed = start.elapsed();
+    let report = RunReport {
+        final_fanout: average_fanout(graph, &partition),
+        final_p_fanout: average_p_fanout(graph, &partition, 0.5),
+        imbalance: partition.imbalance(),
+        history,
+        levels,
+        elapsed,
+    };
+    Ok(PartitionResult { partition, report })
+}
+
+/// The recursion schedule: which buckets split into which children at every level, and with
+/// which start assignment, constraint, objective, `ε` and seed each level's refinement runs.
+/// Both entry points — [`partition_recursive`] in process and
+/// [`crate::distributed::partition_distributed`] on the BSP engine — walk the same schedule.
+#[derive(Debug, Clone)]
+pub(crate) struct Schedule<'c> {
+    config: &'c ShpConfig,
+    arity: u32,
+    /// Per current bucket, how many final buckets it must still be divided into.
+    targets: Vec<u32>,
+    level: usize,
+    total_levels: usize,
+}
+
+/// One level of a [`Schedule`]: everything needed to run that level's refinement.
+#[derive(Debug, Clone)]
+pub(crate) struct Level {
+    /// Level index, 0 for the first split.
+    pub index: usize,
+    /// Number of buckets after the split.
+    pub num_buckets: u32,
+    /// Every vertex re-assigned to one of its bucket's children.
+    pub assignment: Vec<BucketId>,
+    /// Moves allowed only between siblings of a split.
+    pub constraint: TargetConstraint,
+    /// The objective, adjusted for the final splits when configured.
+    pub objective: Objective,
+    /// The level's `ε` (scaled by depth when configured).
+    pub epsilon: f64,
+    /// The level's seed for the move coins and the re-assignment hash.
+    pub seed: u64,
+}
+
+impl<'c> Schedule<'c> {
+    /// The schedule of a recursive-mode `config`; all vertices start in one bucket.
+    ///
+    /// # Errors
+    /// Returns [`ShpError::InvalidConfig`] when `config` is in direct mode.
+    pub fn new(config: &'c ShpConfig) -> ShpResult<Self> {
+        let PartitionMode::Recursive { arity } = config.mode else {
+            return Err(ShpError::InvalidConfig(
+                "partition_recursive called with direct mode".into(),
+            ));
+        };
+        Ok(Schedule {
+            config,
+            arity,
+            targets: vec![config.num_buckets],
+            level: 0,
+            total_levels: total_levels(config.num_buckets, arity),
+        })
+    }
+
+    /// Whether every bucket is final.
+    pub fn is_done(&self) -> bool {
+        self.targets.iter().all(|&t| t <= 1)
+    }
+
+    /// Plans the next level from the current assignment (buckets of the previous level).
+    /// Must not be called once [`Schedule::is_done`].
+    pub fn next_level(&mut self, current: &[BucketId]) -> Level {
+        debug_assert!(!self.is_done());
+        let config = self.config;
+        let level = self.level;
+
+        // Decide the children of every current bucket, distributing its remaining target
+        // count as evenly as possible.
+        let mut children_of: Vec<Vec<BucketId>> = Vec::with_capacity(self.targets.len());
         let mut child_targets: Vec<u32> = Vec::new();
-        for group in &groups {
-            let num_children = group.targets.min(arity).max(1);
+        for &targets in &self.targets {
+            let num_children = targets.min(self.arity).max(1);
             let mut child_ids = Vec::with_capacity(num_children as usize);
             for c in 0..num_children {
                 child_ids.push(child_targets.len() as BucketId);
-                // Distribute the group's remaining target count as evenly as possible.
-                let share = split_share(group.targets, num_children, c);
-                child_targets.push(share);
+                child_targets.push(split_share(targets, num_children, c));
             }
             children_of.push(child_ids);
         }
-        let new_k = child_targets.len() as u32;
 
         // Re-assign every vertex to one of its bucket's children, weighted by the child's share
         // of final buckets, using the deterministic per-vertex hash.
         let seed = config
             .seed
             .wrapping_add((level as u64).wrapping_mul(0x9E37_79B9));
-        let assignment: Vec<BucketId> = (0..graph.num_data() as u32)
-            .map(|v| {
-                let old = partition.bucket_of(v);
+        let assignment: Vec<BucketId> = current
+            .iter()
+            .enumerate()
+            .map(|(v, &old)| {
                 let children = &children_of[old as usize];
                 if children.len() == 1 {
                     children[0]
                 } else {
                     let total: u32 = children.iter().map(|&c| child_targets[c as usize]).sum();
-                    let r = crate::refinement::unit_hash(seed, 0x5EED, v as u64) * total as f64;
+                    let r = unit_hash(seed, 0x5EED, v as u64) * total as f64;
                     let mut acc = 0.0;
                     let mut chosen = children[children.len() - 1];
                     for &c in children {
@@ -103,20 +191,15 @@ pub fn partition_recursive(
                 }
             })
             .collect();
-        partition = Partition::from_assignment(graph, new_k, assignment)?;
 
         // Only groups that actually split participate in refinement; pass-through groups form
         // singleton sibling sets with no admissible moves.
-        let sibling_groups: Vec<Vec<BucketId>> = children_of
-            .iter()
-            .filter(|c| c.len() > 1)
-            .cloned()
-            .collect();
-        let constraint = TargetConstraint::sibling_groups(&sibling_groups);
+        let sibling_groups: Vec<Vec<BucketId>> =
+            children_of.into_iter().filter(|c| c.len() > 1).collect();
 
         // ε scaling over recursion depth (Section 3.4).
         let epsilon = if config.scale_epsilon_by_level {
-            config.epsilon * (level + 1) as f64 / total_levels.max(1) as f64
+            config.epsilon * (level + 1) as f64 / self.total_levels.max(1) as f64
         } else {
             config.epsilon
         };
@@ -129,52 +212,19 @@ pub fn partition_recursive(
             objective = objective.for_final_splits(max_remaining);
         }
 
-        let refiner = Refiner::new(
-            graph,
+        let num_buckets = child_targets.len() as u32;
+        self.targets = child_targets;
+        self.level += 1;
+        Level {
+            index: level,
+            num_buckets,
+            assignment,
+            constraint: TargetConstraint::sibling_groups(&sibling_groups),
             objective,
-            constraint,
-            config.swap_strategy,
-            config.balance_mode,
-            config.allow_imbalanced_moves,
             epsilon,
             seed,
-        )
-        .with_workers(config.workers);
-        let mut nd = NeighborData::build_with_workers(graph, &partition, config.workers);
-        let level_history = refiner.run(
-            &mut partition,
-            &mut nd,
-            config.max_iterations,
-            config.convergence_threshold,
-        );
-
-        levels.push(LevelReport {
-            level,
-            buckets_after: new_k,
-            iterations: level_history.len(),
-            fanout_after: nd.average_fanout(),
-            elapsed: level_start.elapsed(),
-        });
-        history.extend(level_history);
-
-        groups = child_targets
-            .iter()
-            .map(|&t| Group { targets: t })
-            .collect();
-        level += 1;
+        }
     }
-
-    debug_assert_eq!(partition.num_buckets(), k);
-    let elapsed = start.elapsed();
-    let report = RunReport {
-        final_fanout: average_fanout(graph, &partition),
-        final_p_fanout: average_p_fanout(graph, &partition, 0.5),
-        imbalance: partition.imbalance(),
-        history,
-        levels,
-        elapsed,
-    };
-    Ok(PartitionResult { partition, report })
 }
 
 /// Number of final buckets child `index` (0-based) receives when a group responsible for

@@ -306,15 +306,10 @@ impl<'a> Refiner<'a> {
             ),
         };
 
-        // Probabilistic selection with a per-(seed, iteration, vertex) hash so the outcome does
-        // not depend on thread scheduling.
         let mut selected: Vec<MoveProposal> = Vec::new();
         let mut unselected_positive: Vec<MoveProposal> = Vec::new();
         for p in &proposals {
-            let prob = probabilities.probability(p);
-            let taken =
-                prob > 0.0 && unit_hash(self.seed, iteration as u64, p.vertex as u64) < prob;
-            if taken {
+            if move_taken(&probabilities, self.seed, iteration, p) {
                 selected.push(*p);
             } else if p.gain > 0.0 {
                 unselected_positive.push(*p);
@@ -492,6 +487,20 @@ fn select_imbalanced_extras(
         }
     }
     extras
+}
+
+/// Whether `proposal` moves in `iteration`: a coin with its move probability, flipped with
+/// the per-`(seed, iteration, vertex)` hash so the outcome does not depend on thread or
+/// worker scheduling. The in-process refiner and superstep 4 of the BSP program flip the
+/// same coin.
+pub(crate) fn move_taken(
+    probabilities: &MoveProbabilities,
+    seed: u64,
+    iteration: usize,
+    proposal: &MoveProposal,
+) -> bool {
+    let prob = probabilities.probability(proposal);
+    prob > 0.0 && unit_hash(seed, iteration as u64, proposal.vertex as u64) < prob
 }
 
 /// Deterministic hash of `(seed, iteration, vertex)` to a uniform value in `[0, 1)`

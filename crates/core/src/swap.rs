@@ -39,13 +39,28 @@ impl SwapMatrix {
             .map(|p| p.from.max(p.to) + 1)
             .max()
             .unwrap_or(0);
-        let mut counts = PairTable::new(k, 0u64);
+        let mut matrix = SwapMatrix {
+            counts: PairTable::new(k, 0u64),
+        };
         for p in proposals {
-            if p.gain > 0.0 {
-                *counts.entry(p.from, p.to) += 1;
-            }
+            matrix.record(p);
         }
-        SwapMatrix { counts }
+        matrix
+    }
+
+    /// Counts one proposal if it is strictly improving, growing the bucket range if needed.
+    pub(crate) fn record(&mut self, proposal: &MoveProposal) {
+        if proposal.gain > 0.0 {
+            *self.counts.entry(proposal.from, proposal.to) += 1;
+        }
+    }
+
+    /// Adds another matrix's counts into this one (worker-local matrices combined by the
+    /// master).
+    pub(crate) fn merge(&mut self, other: &SwapMatrix) {
+        for ((i, j), &count) in other.counts.iter() {
+            *self.counts.entry(i, j) += count;
+        }
     }
 
     /// Number of candidates wanting to move from `i` to `j`.
@@ -152,6 +167,22 @@ mod tests {
         assert_eq!(s.count(0, 2), 0);
         assert_eq!(s.num_entries(), 2);
         assert_eq!(s.total_candidates(), 3);
+    }
+
+    #[test]
+    fn merged_partial_matrices_equal_the_whole() {
+        let proposals: Vec<MoveProposal> = (0..12)
+            .map(|v| proposal(v, v % 3, (v + 1) % 4, v as f64 - 3.5))
+            .collect();
+        let mut merged = SwapMatrix::default();
+        for chunk in proposals.chunks(5) {
+            merged.merge(&SwapMatrix::from_proposals(chunk));
+        }
+        assert_eq!(merged, SwapMatrix::from_proposals(&proposals));
+        assert_eq!(
+            merged.move_probabilities(),
+            SwapMatrix::from_proposals(&proposals).move_probabilities()
+        );
     }
 
     #[test]

@@ -52,14 +52,14 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     /// Sends a message to vertex `to`, delivered at the start of the next superstep.
     pub fn send(&mut self, to: u32, message: P::Message) {
         let size = self.program.message_size(&message);
-        self.outbox.push(to, message, size);
+        self.outbox.push(self.vertex, to, message, size);
     }
 
     /// Sends a copy of `message` to every out-neighbor of the current vertex.
     pub fn send_to_neighbors(&mut self, message: P::Message) {
         for &n in self.topology.neighbors(self.vertex) {
             let size = self.program.message_size(&message);
-            self.outbox.push(n, message.clone(), size);
+            self.outbox.push(self.vertex, n, message.clone(), size);
         }
     }
 

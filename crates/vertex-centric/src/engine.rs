@@ -3,7 +3,7 @@
 use crate::context::Context;
 use crate::metrics::{ExecutionMetrics, SuperstepMetrics};
 use crate::program::{MasterOutcome, VertexProgram};
-use crate::routing::{group_by_vertex, route, WorkerOutbox};
+use crate::routing::{group_by_vertex, route, Envelope, WorkerOutbox};
 use crate::topology::Topology;
 use std::time::Instant;
 
@@ -47,7 +47,7 @@ struct WorkerState<V> {
 }
 
 /// One simulated worker's unit of superstep work: its mutable state and pending inbox.
-type WorkerTask<'a, V, M> = (&'a mut WorkerState<V>, Vec<(u32, M)>);
+type WorkerTask<'a, V, M> = (&'a mut WorkerState<V>, Vec<Envelope<M>>);
 
 /// Result produced by one worker for one superstep.
 struct WorkerStepResult<M, A> {
@@ -104,7 +104,7 @@ pub struct Engine<P: VertexProgram> {
     global: P::Global,
     metrics: ExecutionMetrics,
     /// Messages awaiting delivery, one inbox per worker.
-    inboxes: Vec<Vec<(u32, P::Message)>>,
+    inboxes: Vec<Vec<Envelope<P::Message>>>,
     superstep: usize,
 }
 
@@ -505,6 +505,55 @@ mod tests {
         let (values, _global, metrics) = engine.into_parts();
         assert_eq!(values, vec![0, 1, 0, 1, 0]);
         assert!(metrics.num_supersteps() > 0);
+    }
+
+    /// Records, in superstep 1, the ids its neighbors sent in superstep 0, in arrival order.
+    struct ArrivalOrder;
+
+    impl VertexProgram for ArrivalOrder {
+        type Value = Vec<u32>;
+        type Message = u32;
+        type Aggregate = ();
+        type Global = ();
+
+        fn compute(&self, ctx: &mut Context<'_, Self>, v: u32, value: &mut Vec<u32>, m: &[u32]) {
+            if ctx.superstep() == 0 {
+                ctx.send_to_neighbors(v);
+            } else {
+                *value = m.to_vec();
+                ctx.vote_to_halt();
+            }
+        }
+
+        fn merge_aggregates(&self, _a: (), _b: ()) {}
+
+        fn master_compute(&self, _s: usize, _agg: (), _g: &()) -> MasterOutcome<()> {
+            MasterOutcome::Continue(())
+        }
+    }
+
+    #[test]
+    fn messages_arrive_in_ascending_sender_order_for_every_worker_count() {
+        // A hub whose neighbors are added in descending id order: arrival order must follow
+        // the sender ids, not the edge order or the worker layout.
+        let mut b = TopologyBuilder::new(10);
+        for leaf in (1..10).rev() {
+            b.add_undirected_edge(0, leaf);
+        }
+        for workers in [1, 2, 3, 4, 7] {
+            let mut engine = Engine::new(
+                ArrivalOrder,
+                b.clone().build(),
+                vec![Vec::new(); 10],
+                EngineConfig::new(workers, 10),
+            );
+            engine.run();
+            assert_eq!(
+                engine.value(0),
+                &(1..10).collect::<Vec<u32>>(),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   (vertex `v` lives on worker `v mod W`, as with Giraph's random vertex distribution),
 //!   runs each superstep's per-worker compute on one real scoped thread per worker (merging
 //!   worker results in worker-index order, so outcomes never depend on thread interleaving),
-//!   routes messages between workers, and applies combiners.
+//!   routes messages between workers, and applies combiners. Every vertex receives its
+//!   messages in ascending sender-vertex order, so even an order-sensitive compute (a
+//!   floating-point sum over the messages) gives the same result on any number of workers.
 //! * [`ExecutionMetrics`] — per-superstep accounting of messages, bytes, and local-vs-remote
 //!   traffic, so the communication-complexity claims of Section 3.3 of the paper can be
 //!   checked quantitatively even though no real network is involved.

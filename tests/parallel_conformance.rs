@@ -7,6 +7,8 @@
 //! * every registry algorithm produces a **bit-identical** `PartitionOutcome` (assignment,
 //!   fanout/p-fanout/imbalance bits, iteration and move counts) for `workers ∈ {1, 2, 4, 8}`
 //!   on fixed-seed planted-partition and power-law graphs;
+//! * the BSP path (`partition_distributed`) reproduces `partition_recursive` /
+//!   `partition_direct` bit-for-bit whenever the `(1 + ε)` capacity guard drops no move;
 //! * the chunking primitive exactly covers the index space, in order, with no overlap, and
 //!   the ordered reduction equals the sequential scan for arbitrary `(len, workers)`;
 //! * the thread pool survives panicking tasks without deadlocking.
@@ -20,7 +22,8 @@ use shp::baselines::full_registry;
 use shp::core::api::{NoopObserver, PartitionOutcome, PartitionSpec, TraceObserver};
 use shp::core::gains::{self, GainKernel, TargetConstraint};
 use shp::core::{
-    partition_direct, BalanceMode, NeighborData, Objective, Refiner, ShpConfig, SwapStrategy,
+    partition_direct, partition_distributed, partition_recursive, BalanceMode, NeighborData,
+    Objective, PartitionMode, Refiner, ShpConfig, SwapStrategy,
 };
 use shp::datagen::{planted_partition, power_law_bipartite, PlantedConfig, PowerLawConfig};
 use shp::hypergraph::{BipartiteGraph, Partition};
@@ -310,6 +313,72 @@ fn shpk_outcome_equals_manually_run_legacy_pipeline() {
     for (a, b) in new_path.report.history.iter().zip(history.iter()) {
         assert_eq!(a.moved, b.moved);
         assert_eq!(a.applied_gain.to_bits(), b.applied_gain.to_bits());
+    }
+}
+
+/// One Algorithm-1 kernel: with a capacity so loose (ε = 10⁶) that the in-process `(1 + ε)`
+/// guard can drop no move, `partition_distributed` must return exactly the assignment and the
+/// per-iteration move counts of `partition_recursive` (k = 8, arity 2 and 3) and
+/// `partition_direct` (k = 4), for both swap strategies and every worker count. The BSP path
+/// sums gains over the received neighbor-data messages, so this also pins the order in which
+/// they reach a data vertex to `data_neighbors(v)` order.
+#[test]
+fn distributed_matches_in_process_when_the_capacity_guard_drops_nothing() {
+    let configs = [
+        ShpConfig::recursive_bisection(8),
+        ShpConfig {
+            mode: PartitionMode::Recursive { arity: 3 },
+            ..ShpConfig::recursive_bisection(8)
+        },
+        ShpConfig::direct(4),
+    ];
+    for (graph_name, graph) in [
+        ("planted", planted_graph()),
+        ("power-law", power_law_graph()),
+    ] {
+        for base in &configs {
+            for strategy in [SwapStrategy::Matrix, SwapStrategy::Histogram] {
+                let config = base
+                    .clone()
+                    .with_epsilon(1e6)
+                    .with_seed(0x5047)
+                    .with_max_iterations(6)
+                    .with_swap_strategy(strategy);
+                let in_process = match config.mode {
+                    PartitionMode::Direct => partition_direct(&graph, &config),
+                    PartitionMode::Recursive { .. } => partition_recursive(&graph, &config),
+                }
+                .expect("valid config");
+                let expected_moves: Vec<u64> = in_process
+                    .report
+                    .history
+                    .iter()
+                    .map(|s| s.moved as u64)
+                    .collect();
+                for workers in worker_counts() {
+                    let bsp = partition_distributed(
+                        &graph,
+                        &config.clone().with_workers(workers),
+                        workers,
+                    )
+                    .expect("valid config");
+                    let what = format!(
+                        "{graph_name}/{:?}/{strategy:?}/workers={workers}",
+                        config.mode
+                    );
+                    assert_eq!(
+                        bsp.partition.assignment(),
+                        in_process.partition.assignment(),
+                        "{what}: assignment diverged"
+                    );
+                    let moves: Vec<u64> = bsp.history.iter().map(|s| s.moved).collect();
+                    assert_eq!(
+                        moves, expected_moves,
+                        "{what}: per-iteration moves diverged"
+                    );
+                }
+            }
+        }
     }
 }
 
