@@ -21,6 +21,7 @@ mod support;
 
 use shp_bench::bench_json;
 use shp_controller::{run_drift_scenario, AccessTraceCollector, DriftConfig};
+use shp_telemetry::json::Json;
 
 #[global_allocator]
 static ALLOC: support::CountingAllocator = support::CountingAllocator;
@@ -209,11 +210,7 @@ fn main() {
         }
     }
     let path = bench_json::repo_root().join(bench_json::BENCH_CONTROLLER_JSON_NAME);
-    bench_json::update_section(
-        &path,
-        "controller_drift",
-        &bench_json::render_section(&rows),
-    )
-    .expect("write BENCH_controller.json");
+    bench_json::update_section(&path, "controller_drift", Json::object(rows))
+        .expect("write BENCH_controller.json");
     println!("controller_drift: trajectory written to {}", path.display());
 }

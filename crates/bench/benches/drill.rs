@@ -22,6 +22,7 @@ mod support;
 
 use shp_bench::bench_json;
 use shp_controller::{run_drill_scenario, DrillConfig};
+use shp_telemetry::json::Json;
 
 #[global_allocator]
 static ALLOC: support::CountingAllocator = support::CountingAllocator;
@@ -143,7 +144,6 @@ fn main() {
         ));
     }
     let path = bench_json::repo_root().join(bench_json::BENCH_DRILL_JSON_NAME);
-    bench_json::update_section(&path, "drill", &bench_json::render_section(&rows))
-        .expect("write BENCH_drill.json");
+    bench_json::update_section(&path, "drill", Json::object(rows)).expect("write BENCH_drill.json");
     println!("drill: trajectory written to {}", path.display());
 }

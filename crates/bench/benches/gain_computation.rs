@@ -13,6 +13,7 @@ use shp_bench::bench_json;
 use shp_core::{gains, GainKernel, NeighborData, Objective, TargetConstraint};
 use shp_datagen::{social_graph, SocialGraphConfig};
 use shp_hypergraph::Partition;
+use shp_telemetry::json::Json;
 
 #[global_allocator]
 static ALLOC: support::CountingAllocator = support::CountingAllocator;
@@ -129,12 +130,8 @@ fn hot_path_trajectory() {
         ),
     ];
     let path = bench_json::repo_root().join(bench_json::BENCH_JSON_NAME);
-    bench_json::update_section(
-        &path,
-        "gain_computation",
-        &bench_json::render_section(&rows),
-    )
-    .expect("write BENCH_refinement.json");
+    bench_json::update_section(&path, "gain_computation", Json::object(rows))
+        .expect("write BENCH_refinement.json");
     println!("gain_computation: trajectory written to {}", path.display());
 }
 

@@ -23,6 +23,7 @@ mod support;
 use shp_bench::bench_json;
 use shp_datagen::{power_law_bipartite, PowerLawConfig};
 use shp_hypergraph::{io, BipartiteGraph};
+use shp_telemetry::json::Json;
 use std::io::Write as _;
 
 #[global_allocator]
@@ -216,7 +217,7 @@ fn main() {
         ),
     ];
     let path = bench_json::repo_root().join(bench_json::BENCH_INGEST_JSON_NAME);
-    bench_json::update_section(&path, "graph_ingest", &bench_json::render_section(&rows))
+    bench_json::update_section(&path, "graph_ingest", Json::object(rows))
         .expect("write BENCH_ingest.json");
     println!("graph_ingest: trajectory written to {}", path.display());
 }

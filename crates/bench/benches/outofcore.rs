@@ -24,6 +24,7 @@ mod support;
 use shp_bench::bench_json;
 use shp_datagen::{PowerLawConfig, PowerLawStream};
 use shp_hypergraph::io;
+use shp_telemetry::json::Json;
 use std::time::Instant;
 
 #[global_allocator]
@@ -169,7 +170,7 @@ fn main() {
         ),
     ];
     let path_json = bench_json::repo_root().join(bench_json::BENCH_OUTOFCORE_JSON_NAME);
-    bench_json::update_section(&path_json, "outofcore", &bench_json::render_section(&rows))
+    bench_json::update_section(&path_json, "outofcore", Json::object(rows))
         .expect("write BENCH_outofcore.json");
     println!("outofcore: trajectory written to {}", path_json.display());
 

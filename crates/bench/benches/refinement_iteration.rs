@@ -19,6 +19,7 @@ use shp_core::{
 };
 use shp_datagen::{social_graph, SocialGraphConfig};
 use shp_hypergraph::{BipartiteGraph, Partition};
+use shp_telemetry::json::Json;
 
 #[global_allocator]
 static ALLOC: support::CountingAllocator = support::CountingAllocator;
@@ -189,12 +190,8 @@ fn hot_path_trajectory() {
         ),
     ];
     let path = bench_json::repo_root().join(bench_json::BENCH_JSON_NAME);
-    bench_json::update_section(
-        &path,
-        "refinement_iteration",
-        &bench_json::render_section(&rows),
-    )
-    .expect("write BENCH_refinement.json");
+    bench_json::update_section(&path, "refinement_iteration", Json::object(rows))
+        .expect("write BENCH_refinement.json");
     println!(
         "refinement_iteration: trajectory written to {}",
         path.display()

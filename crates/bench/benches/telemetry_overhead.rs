@@ -23,6 +23,7 @@ mod support;
 use shp_bench::bench_json;
 use shp_serving::{CacheStats, LegacyServingMetrics, ServingMetrics, ServingReport};
 use shp_telemetry::histogram::QUANTIZATION_ERROR;
+use shp_telemetry::json::Json;
 use shp_telemetry::{Counter, Histogram, TopKSketch};
 
 #[global_allocator]
@@ -299,12 +300,8 @@ fn main() {
         ),
     ];
     let path = bench_json::repo_root().join(bench_json::BENCH_TELEMETRY_JSON_NAME);
-    bench_json::update_section(
-        &path,
-        "telemetry_overhead",
-        &bench_json::render_section(&rows),
-    )
-    .expect("write BENCH_telemetry.json");
+    bench_json::update_section(&path, "telemetry_overhead", Json::object(rows))
+        .expect("write BENCH_telemetry.json");
     println!(
         "telemetry_overhead: trajectory written to {}",
         path.display()

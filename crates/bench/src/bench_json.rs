@@ -6,10 +6,13 @@
 //! Future PRs diff that file to track the performance trajectory of the refinement hot path
 //! without re-parsing human-oriented bench logs.
 //!
-//! The vendored `serde` has no data-format backend, so this module hand-rolls the tiny JSON
-//! subset it needs: a top-level object whose values are replaced as opaque raw spans. A bench
-//! binary only rewrites its own section; sections written by other binaries survive untouched.
+//! Files are read and written through the workspace's one JSON codec, [`shp_telemetry::json`],
+//! in its expanded layout: one top-level section per bench binary, one metric row per line. A
+//! bench binary only rewrites its own section; sections written by other binaries survive
+//! untouched.
 
+use shp_telemetry::export::write_atomically;
+use shp_telemetry::json::{self, Json};
 use std::path::{Path, PathBuf};
 
 /// The refinement-trajectory file name, created at the repository root.
@@ -43,188 +46,84 @@ pub fn repo_root() -> PathBuf {
 }
 
 /// A string→number map rendered as one JSON object (a bench metric row).
-pub fn render_metrics(metrics: &[(&str, f64)]) -> String {
-    let body: Vec<String> = metrics
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {}", render_number(*v)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
+pub fn render_metrics(metrics: &[(&str, f64)]) -> Json {
+    Json::object(metrics.iter().map(|&(k, v)| (k, render_number(v))))
 }
 
-/// Renders an f64 as a JSON number (finite values only; non-finite become `null`).
-pub fn render_number(v: f64) -> String {
+/// Renders an f64 as a JSON number: an integer when it is one, else 3 decimals; non-finite
+/// values become `null`.
+pub fn render_number(v: f64) -> Json {
     if !v.is_finite() {
-        return "null".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        Json::Null
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        Json::from(v as i64)
     } else {
-        format!("{v:.3}")
+        Json::fixed(v, 3)
     }
 }
 
-/// Renders a section body from named metric rows plus named scalar values.
-pub fn render_section(rows: &[(String, String)]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n  }}", body.join(",\n"))
-}
-
-/// Reads `path` (if it exists), replaces or appends the top-level `section` with the raw JSON
-/// value `body`, and writes the file back. Other sections are preserved byte-for-byte. A
-/// malformed existing file is replaced wholesale (the trajectory file is generated output, not
-/// a source of truth).
-pub fn update_section(path: &Path, section: &str, body: &str) -> std::io::Result<()> {
+/// Reads `path` (if it exists), replaces or appends the top-level `section` with `body`, and
+/// writes the file back atomically. Other sections keep their values, numbers included, so
+/// rewriting an unchanged section leaves the file byte-identical. A malformed existing file is
+/// replaced wholesale (the trajectory file is generated output, not a source of truth).
+pub fn update_section(path: &Path, section: &str, body: Json) -> std::io::Result<()> {
     let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut sections = parse_top_level(&existing).unwrap_or_default();
+    let mut sections = match json::parse(&existing) {
+        Ok(Json::Object(sections)) => sections,
+        _ => Vec::new(),
+    };
     match sections.iter_mut().find(|(k, _)| k == section) {
-        Some((_, v)) => *v = body.to_string(),
-        None => sections.push((section.to_string(), body.to_string())),
+        Some((_, v)) => *v = body,
+        None => sections.push((section.to_string(), body)),
     }
-    let rendered: Vec<String> = sections
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    std::fs::write(path, format!("{{\n{}\n}}\n", rendered.join(",\n")))
-}
-
-/// Parses the top level of a JSON object into `(key, raw value span)` pairs, preserving order.
-/// Returns `None` on anything that does not scan as `{ "key": <value>, ... }`.
-pub fn parse_top_level(input: &str) -> Option<Vec<(String, String)>> {
-    let mut chars = input.char_indices().peekable();
-    skip_ws(&mut chars);
-    if chars.next().map(|(_, c)| c) != Some('{') {
-        return None;
-    }
-    let mut result = Vec::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek().copied() {
-            Some((_, '}')) => {
-                chars.next();
-                return Some(result);
-            }
-            Some((_, '"')) => {}
-            _ => return None,
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next().map(|(_, c)| c) != Some(':') {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let start = chars.peek()?.0;
-        let end = scan_value(input, &mut chars)?;
-        result.push((key, input[start..end].trim_end().to_string()));
-        skip_ws(&mut chars);
-        match chars.peek().copied() {
-            Some((_, ',')) => {
-                chars.next();
-            }
-            Some((_, '}')) => {}
-            _ => return None,
-        }
-    }
-}
-
-type CharStream<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(chars: &mut CharStream<'_>) {
-    while matches!(chars.peek(), Some(&(_, c)) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut CharStream<'_>) -> Option<String> {
-    if chars.next().map(|(_, c)| c) != Some('"') {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        let (_, c) = chars.next()?;
-        match c {
-            '"' => return Some(out),
-            '\\' => {
-                let (_, escaped) = chars.next()?;
-                out.push(escaped);
-            }
-            _ => out.push(c),
-        }
-    }
-}
-
-/// Consumes one JSON value (scalar, string, array, or object), returning the byte offset just
-/// past its end.
-fn scan_value(input: &str, chars: &mut CharStream<'_>) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut end = chars.peek()?.0;
-    loop {
-        let Some(&(i, c)) = chars.peek() else {
-            return (depth == 0).then_some(end);
-        };
-        match c {
-            '"' => {
-                parse_string(chars)?;
-                end = chars.peek().map_or(input.len(), |&(j, _)| j);
-            }
-            '{' | '[' => {
-                depth += 1;
-                chars.next();
-                end = i + 1;
-            }
-            '}' | ']' => {
-                if depth == 0 {
-                    return Some(end);
-                }
-                depth -= 1;
-                chars.next();
-                end = i + 1;
-            }
-            ',' if depth == 0 => return Some(end),
-            _ => {
-                chars.next();
-                end = i + c.len_utf8();
-            }
-        }
-    }
+    write_atomically(path, format!("{:#}\n", Json::Object(sections)).as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn temp_file(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("shp_bench_json_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.json");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn sections(path: &Path) -> Vec<(String, Json)> {
+        let text = std::fs::read_to_string(path).unwrap();
+        match json::parse(&text).expect("written file parses") {
+            Json::Object(sections) => sections,
+            other => panic!("expected an object, got {other}"),
+        }
+    }
+
     #[test]
     fn parse_round_trips_nested_sections() {
-        let input = r#"{
-  "a": {"x": 1, "y": [1, 2, {"z": "s,tr}ing"}]},
-  "b": 3.5,
-  "c": {"nested": {"deep": true}}
-}"#;
-        let sections = parse_top_level(input).expect("valid");
-        assert_eq!(sections.len(), 3);
-        assert_eq!(sections[0].0, "a");
-        assert_eq!(sections[1], ("b".to_string(), "3.5".to_string()));
-        assert!(sections[2].1.contains("\"deep\": true"));
+        let input = "{\n  \"a\": {\n    \"x\": {\"y\": [1, 2, {\"z\": \"s,tr}ing\"}]}\n  },\n  \
+                     \"b\": 3.5,\n  \"c\": {\n    \"nested\": {\"deep\": true}\n  }\n}\n";
+        let path = temp_file("nested");
+        std::fs::write(&path, input).unwrap();
+        update_section(&path, "b", Json::fixed(3.5, 1)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), input);
+        update_section(&path, "d", render_metrics(&[("v", 1.0)])).unwrap();
+        let expected = input.replace("\n}\n", ",\n  \"d\": {\n    \"v\": 1\n  }\n}\n");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn update_section_preserves_other_sections() {
-        let dir = std::env::temp_dir().join(format!("shp_bench_json_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
-        let _ = std::fs::remove_file(&path);
-        update_section(&path, "one", "{\"v\": 1}").unwrap();
-        update_section(&path, "two", "{\"v\": 2}").unwrap();
-        update_section(&path, "one", "{\"v\": 9}").unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let sections = parse_top_level(&content).expect("written file parses");
+        let path = temp_file("update");
+        update_section(&path, "one", render_metrics(&[("v", 1.0)])).unwrap();
+        update_section(&path, "two", render_metrics(&[("v", 2.0)])).unwrap();
+        update_section(&path, "one", render_metrics(&[("v", 9.0)])).unwrap();
         assert_eq!(
-            sections,
+            sections(&path),
             vec![
-                ("one".to_string(), "{\"v\": 9}".to_string()),
-                ("two".to_string(), "{\"v\": 2}".to_string()),
+                ("one".to_string(), render_metrics(&[("v", 9.0)])),
+                ("two".to_string(), render_metrics(&[("v", 2.0)])),
             ]
         );
         std::fs::remove_file(&path).unwrap();
@@ -232,26 +131,48 @@ mod tests {
 
     #[test]
     fn malformed_existing_content_is_replaced() {
-        let dir = std::env::temp_dir().join(format!("shp_bench_json_bad_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
+        let path = temp_file("bad");
         std::fs::write(&path, "not json at all").unwrap();
-        update_section(&path, "s", "{}").unwrap();
-        let sections = parse_top_level(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(sections, vec![("s".to_string(), "{}".to_string())]);
+        update_section(&path, "s", Json::object::<String>([])).unwrap();
+        assert_eq!(
+            sections(&path),
+            vec![("s".to_string(), Json::object::<String>([]))]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn number_rendering_is_json_safe() {
-        assert_eq!(render_number(3.0), "3");
-        assert_eq!(render_number(3.25), "3.250");
-        assert_eq!(render_number(f64::INFINITY), "null");
-        assert_eq!(render_number(f64::NAN), "null");
+        assert_eq!(render_number(3.0).to_string(), "3");
+        assert_eq!(render_number(3.25).to_string(), "3.250");
+        assert_eq!(render_number(f64::INFINITY).to_string(), "null");
+        assert_eq!(render_number(f64::NAN).to_string(), "null");
         assert_eq!(
-            render_metrics(&[("a", 1.0), ("b", 0.5)]),
-            "{\"a\": 1, \"b\": 0.500}"
+            render_metrics(&[("a", 1.0), ("b", 0.5)]).to_string(),
+            "{\"a\":1,\"b\":0.500}"
         );
+    }
+
+    #[test]
+    fn committed_trajectory_files_rewrite_byte_identically() {
+        let mut checked = 0;
+        for entry in std::fs::read_dir(repo_root()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let original = std::fs::read_to_string(&path).unwrap();
+            let copy = temp_file(&name);
+            std::fs::write(&copy, &original).unwrap();
+            for (section, body) in sections(&copy) {
+                update_section(&copy, &section, body).unwrap();
+            }
+            assert_eq!(std::fs::read_to_string(&copy).unwrap(), original, "{name}");
+            std::fs::remove_file(&copy).unwrap();
+            checked += 1;
+        }
+        assert!(checked > 0, "no BENCH_*.json at the repository root");
     }
 
     #[test]

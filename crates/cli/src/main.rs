@@ -2,8 +2,9 @@
 //!
 //! Subcommands:
 //!
-//! * `generate <dataset> <scale> <output.hgr>` — synthesize a Table-1 dataset stand-in and
-//!   write it in hMetis format. With `--stream` (power-law datasets, `.shpb` output) the
+//! * `generate <dataset> <scale> <output>` — synthesize a Table-1 dataset stand-in and
+//!   write it in the format the output's extension names (hMetis when it names none). With
+//!   `--stream` (power-law datasets, `.shpb` output) the
 //!   graph is streamed to the container in bounded memory without ever being materialized.
 //! * `algorithms` — list every partitioning algorithm registered in the workspace registry.
 //! * `convert <input> <output> [--from <fmt>] [--to <fmt>] [--workers <n>]` — convert a
@@ -69,6 +70,8 @@ use shp_hypergraph::{
     average_fanout, average_p_fanout, hyperedge_cut, io, BipartiteGraph, GraphStats,
 };
 use shp_serving::{open_loop_schedule, EngineConfig, ServingEngine, WorkloadConfig, WorkloadEvent};
+use shp_telemetry::export::write_atomically;
+use shp_telemetry::json::Json;
 use shp_telemetry::Snapshot;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -103,7 +106,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  shp generate <dataset> <scale> <output.hgr>
+  shp generate <dataset> <scale> <output>
   shp generate <dataset> <scale> <output.shpb> --stream
   shp algorithms
   shp convert <input> <output> [--from <format>] [--to <format>] [--workers <n>]
@@ -126,6 +129,7 @@ const USAGE: &str = "usage:
 
 `shp algorithms` lists the names accepted by --mode. Graph inputs may be edge-list, hMetis,
 or .shpb binary files (autodetected; see `shp convert --help`).
+`shp generate` picks the output format from the extension (hMetis when it names none);
 `shp generate --stream` writes a power-law dataset straight to a .shpb container in bounded
 memory (byte-identical to materializing, but the graph never exists in RAM); --mmap serves
 partition/replay/serve from a memory-mapped .shpb instead of loading it onto the heap.
@@ -167,15 +171,16 @@ fn usage_error(message: impl Into<String>) -> ShpError {
     ShpError::InvalidArgument(format!("{}\n{USAGE}", message.into()))
 }
 
-/// Writes a telemetry snapshot to `path`: Prometheus text exposition format when the path
-/// ends in `.prom`, pretty-printed JSON otherwise.
+/// Writes a telemetry snapshot to `path`, atomically so a concurrent reader never sees a
+/// partial file: Prometheus text exposition format when the path ends in `.prom`, JSON
+/// otherwise.
 fn write_metrics_file(path: &str, snapshot: &Snapshot) -> ShpResult<()> {
     let body = if path.ends_with(".prom") {
         snapshot.to_prometheus()
     } else {
         snapshot.to_json()
     };
-    std::fs::write(path, body)
+    write_atomically(std::path::Path::new(path), body.as_bytes())
         .map_err(|error| ShpError::Runtime(format!("cannot write metrics file {path:?}: {error}")))
 }
 
@@ -334,7 +339,8 @@ fn cmd_generate(args: &[String]) -> ShpResult<()> {
         return Ok(());
     }
     let graph = dataset.generate(scale, 0x5047);
-    io::write_hmetis_file(&graph, output)?;
+    let format = GraphFormat::from_extension(output).unwrap_or(GraphFormat::Hmetis);
+    io::write_graph_file(&graph, output, format)?;
     println!(
         "{}",
         GraphStats::compute(&graph).table1_row(dataset.spec().name)
@@ -577,10 +583,14 @@ fn cmd_evaluate(args: &[String]) -> ShpResult<()> {
     let cut = hyperedge_cut(&graph, &partition);
     let imbalance = partition.imbalance();
     if json {
-        println!(
-            "{{\"fanout\":{fanout:.6},\"p_fanout\":{p_fanout:.6},\"hyperedge_cut\":{cut},\
-             \"imbalance\":{imbalance:.6},\"num_buckets\":{k}}}"
-        );
+        let report = Json::object([
+            ("fanout", Json::fixed(fanout, 6)),
+            ("p_fanout", Json::fixed(p_fanout, 6)),
+            ("hyperedge_cut", Json::from(cut)),
+            ("imbalance", Json::fixed(imbalance, 6)),
+            ("num_buckets", Json::from(k)),
+        ]);
+        println!("{report}");
     } else {
         println!("{}", GraphStats::compute(&graph));
         println!(
@@ -1161,31 +1171,26 @@ fn serve_online(
 }
 
 /// Renders one scenario run as a JSON object (phase rows plus the headline totals).
-fn drift_report_json(report: &DriftReport) -> String {
-    let phases: Vec<String> = report
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"phase\":{},\"mean_fanout\":{:.6},\"p99\":{:.6},\"p999\":{:.6},\
-                 \"epochs\":{},\"moved\":{}}}",
-                p.phase,
-                p.mean_fanout,
-                p.p99,
-                p.p999,
-                p.epochs.len(),
-                p.epochs.iter().map(|e| e.moved_keys).sum::<usize>()
-            )
-        })
-        .collect();
-    format!(
-        "{{\"phases\":[{}],\"cumulative_moved\":{},\"migration_budget\":{},\
-         \"max_epoch_moved\":{}}}",
-        phases.join(","),
-        report.cumulative_moved,
-        report.migration_budget,
-        report.max_epoch_moved
-    )
+fn drift_report_json(report: &DriftReport) -> Json {
+    let phases = report.phases.iter().map(|p| {
+        Json::object([
+            ("phase", Json::from(p.phase)),
+            ("mean_fanout", Json::fixed(p.mean_fanout, 6)),
+            ("p99", Json::fixed(p.p99, 6)),
+            ("p999", Json::fixed(p.p999, 6)),
+            ("epochs", Json::from(p.epochs.len())),
+            (
+                "moved",
+                Json::from(p.epochs.iter().map(|e| e.moved_keys).sum::<usize>()),
+            ),
+        ])
+    });
+    Json::object([
+        ("phases", Json::Array(phases.collect())),
+        ("cumulative_moved", Json::from(report.cumulative_moved)),
+        ("migration_budget", Json::from(report.migration_budget)),
+        ("max_epoch_moved", Json::from(report.max_epoch_moved)),
+    ])
 }
 
 fn cmd_controller(args: &[String]) -> ShpResult<()> {
@@ -1275,11 +1280,11 @@ fn cmd_controller(args: &[String]) -> ShpResult<()> {
     })?;
 
     if json {
-        println!(
-            "{{\"controller\":{},\"baseline\":{}}}",
-            drift_report_json(&with),
-            drift_report_json(&baseline)
-        );
+        let report = Json::object([
+            ("controller", drift_report_json(&with)),
+            ("baseline", drift_report_json(&baseline)),
+        ]);
+        println!("{report}");
     } else {
         println!(
             "{:>5}  {:>17} {:>8} {:>8}  {:>15} {:>8}  {:>6} {:>6}",
@@ -1334,41 +1339,36 @@ fn cmd_controller(args: &[String]) -> ShpResult<()> {
 }
 
 /// Renders one drill run as a JSON object (phase rows plus the headline totals).
-fn drill_report_json(report: &DrillReport) -> String {
-    let phases: Vec<String> = report
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"phase\":\"{}\",\"mean_fanout\":{:.6},\"p99\":{:.6},\
-                 \"availability\":{:.6},\"degraded_queries\":{},\"retries\":{},\
-                 \"hedges_won\":{}}}",
-                p.name,
-                p.mean_fanout,
-                p.p99,
-                p.availability,
-                p.degraded_queries,
-                p.retries,
-                p.hedges_won
-            )
-        })
-        .collect();
-    format!(
-        "{{\"phases\":[{}],\"wrong_values\":{},\"degraded_leg_availability\":{:.6},\
-         \"degraded_leg_degraded\":{},\"missing_mismatches\":{},\"recovery_epochs\":{},\
-         \"recovery_moved\":{},\"max_epoch_moved\":{},\"recovery_remaining\":{},\
-         \"migration_budget\":{}}}",
-        phases.join(","),
-        report.wrong_values,
-        report.degraded_leg_availability,
-        report.degraded_leg_degraded,
-        report.missing_mismatches,
-        report.recovery_epochs,
-        report.recovery_moved,
-        report.max_epoch_moved,
-        report.recovery_remaining,
-        report.migration_budget
-    )
+fn drill_report_json(report: &DrillReport) -> Json {
+    let phases = report.phases.iter().map(|p| {
+        Json::object([
+            ("phase", Json::from(p.name.as_str())),
+            ("mean_fanout", Json::fixed(p.mean_fanout, 6)),
+            ("p99", Json::fixed(p.p99, 6)),
+            ("availability", Json::fixed(p.availability, 6)),
+            ("degraded_queries", Json::from(p.degraded_queries)),
+            ("retries", Json::from(p.retries)),
+            ("hedges_won", Json::from(p.hedges_won)),
+        ])
+    });
+    Json::object([
+        ("phases", Json::Array(phases.collect())),
+        ("wrong_values", Json::from(report.wrong_values)),
+        (
+            "degraded_leg_availability",
+            Json::fixed(report.degraded_leg_availability, 6),
+        ),
+        (
+            "degraded_leg_degraded",
+            Json::from(report.degraded_leg_degraded),
+        ),
+        ("missing_mismatches", Json::from(report.missing_mismatches)),
+        ("recovery_epochs", Json::from(report.recovery_epochs)),
+        ("recovery_moved", Json::from(report.recovery_moved)),
+        ("max_epoch_moved", Json::from(report.max_epoch_moved)),
+        ("recovery_remaining", Json::from(report.recovery_remaining)),
+        ("migration_budget", Json::from(report.migration_budget)),
+    ])
 }
 
 /// Every acceptance gate of the failure drill; the CLI (and CI through it) exits nonzero
@@ -1533,7 +1533,8 @@ fn cmd_drill(args: &[String]) -> ShpResult<()> {
         );
     }
     if let Some(path) = metrics.as_deref() {
-        println!("wrote telemetry snapshot to {path}");
+        // On stderr, as in `partition`: under --json, stdout holds exactly one JSON object.
+        eprintln!("wrote telemetry snapshot to {path}");
     }
 
     check_drill_gates(&report)

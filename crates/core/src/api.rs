@@ -44,6 +44,7 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
 use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId, Partition};
+use shp_telemetry::json::Json;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -330,42 +331,32 @@ impl PartitionOutcome {
         }
     }
 
-    /// Renders the outcome as a JSON object (the vendored serde backend has no data format, so
-    /// the canonical machine-readable form is emitted by hand).
+    /// Renders the outcome as a compact JSON object through [`shp_telemetry::json`], with
+    /// the quality metrics at 6 decimals.
     ///
     /// The `assignment` array holds the bucket of every data vertex in id order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + 2 * self.partition.num_data());
-        out.push_str("{\"algorithm\":\"");
-        for c in self.algorithm.chars() {
-            match c {
-                '"' | '\\' => {
-                    out.push('\\');
-                    out.push(c);
-                }
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str(&format!(
-            "\",\"num_buckets\":{},\"fanout\":{:.6},\"p_fanout\":{:.6},\"imbalance\":{:.6},\
-             \"iterations\":{},\"moves\":{},\"elapsed_micros\":{},\"assignment\":[",
-            self.partition.num_buckets(),
-            self.fanout,
-            self.p_fanout,
-            self.imbalance,
-            self.iterations,
-            self.moves,
-            self.elapsed.as_micros()
-        ));
-        for (i, &b) in self.partition.assignment().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("]}");
-        out
+        Json::object([
+            ("algorithm", Json::from(self.algorithm.as_str())),
+            ("num_buckets", Json::from(self.partition.num_buckets())),
+            ("fanout", Json::fixed(self.fanout, 6)),
+            ("p_fanout", Json::fixed(self.p_fanout, 6)),
+            ("imbalance", Json::fixed(self.imbalance, 6)),
+            ("iterations", Json::from(self.iterations)),
+            ("moves", Json::from(self.moves)),
+            ("elapsed_micros", Json::from(self.elapsed.as_micros())),
+            (
+                "assignment",
+                Json::Array(
+                    self.partition
+                        .assignment()
+                        .iter()
+                        .map(|&b| Json::from(b))
+                        .collect(),
+                ),
+            ),
+        ])
+        .to_string()
     }
 }
 

@@ -16,7 +16,6 @@ pub struct LevelReport {
     /// Average fanout at the end of the level.
     pub fanout_after: f64,
     /// Wall-clock time spent on the level.
-    #[serde(with = "duration_micros")]
     pub elapsed: Duration,
 }
 
@@ -34,7 +33,6 @@ pub struct RunReport {
     /// Realized imbalance of the final partition.
     pub imbalance: f64,
     /// Total wall-clock time of the run.
-    #[serde(with = "duration_micros")]
     pub elapsed: Duration,
 }
 
@@ -47,24 +45,6 @@ impl RunReport {
     /// Total number of vertex moves applied over the whole run.
     pub fn total_moves(&self) -> usize {
         self.history.iter().map(|s| s.moved).sum()
-    }
-}
-
-mod duration_micros {
-    //! Serializes [`std::time::Duration`] as integer microseconds.
-    // Referenced by `#[serde(with = ...)]`; the vendored no-op derive does not expand to calls,
-    // so these helpers look dead to rustc until a real serde backend is enabled.
-    #![allow(dead_code)]
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_micros() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let micros = u64::deserialize(d)?;
-        Ok(Duration::from_micros(micros))
     }
 }
 

@@ -1,10 +1,11 @@
 //! Snapshot exporters: Prometheus text exposition ([`to_prometheus`]) and a self-describing
-//! JSON document ([`to_json`] / [`from_json`]).
+//! JSON document ([`Snapshot::to_json`] / [`Snapshot::from_json`]), plus [`write_atomically`]
+//! for the files they end up in.
 //!
-//! Both are hand-rolled — the workspace carries no serialization dependency — and both are
-//! deterministic: a [`Snapshot`] renders to byte-identical output however it was produced,
-//! because snapshots hold ordered maps and `f64` values render through Rust's shortest
-//! round-tripping formatter.
+//! The JSON side builds and reads a [`Json`] tree through the workspace's one codec,
+//! [`crate::json`]. Both exporters are deterministic: a [`Snapshot`] renders to byte-identical
+//! output however it was produced, because snapshots hold ordered maps and `f64` values render
+//! through Rust's shortest round-tripping formatter.
 //!
 //! ## Prometheus mapping
 //!
@@ -22,14 +23,19 @@
 //! ## JSON mapping
 //!
 //! One top-level object with `version`, `counters`, `gauges`, `histograms`, `spans`, and
-//! `top_keys` members. Bucket edges may be `f64::INFINITY`, which JSON cannot carry as a
-//! number, so edges serialize as the string `"inf"` in that case. [`from_json`] accepts
-//! exactly what [`to_json`] produces (field order is not significant; unknown fields are
+//! `top_keys` members, in the codec's expanded layout. JSON cannot carry a non-finite number,
+//! so an infinite bucket edge, or a NaN or infinite gauge, serializes as the string `"inf"`,
+//! `"-inf"` or `"nan"` ([`Json::float`]). [`Snapshot::from_json`] accepts exactly what
+//! [`Snapshot::to_json`] produces (field order is not significant; unknown fields are
 //! rejected so schema drift is caught loudly).
 
+use crate::json::{self, Json};
 use crate::registry::{HistogramSnapshot, Snapshot, SpanSnapshot, TopKeysSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, Write as _};
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition
@@ -175,361 +181,74 @@ pub fn to_prometheus(snapshot: &Snapshot) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// JSON rendering
+// JSON
 // ---------------------------------------------------------------------------
 
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+fn json_map<T>(map: &BTreeMap<String, T>, render: impl Fn(&T) -> Json) -> Json {
+    Json::object(
+        map.iter()
+            .map(|(name, value)| (name.as_str(), render(value))),
+    )
 }
 
-/// Renders an `f64` as a JSON value: the string `"inf"` for infinity, else a number via
-/// Rust's shortest round-tripping formatter.
-fn json_number(value: f64) -> String {
-    if value == f64::INFINITY {
-        "\"inf\"".to_string()
-    } else {
-        format!("{value}")
-    }
+fn json_pair(a: Json, b: impl Into<Json>) -> Json {
+    Json::Array(vec![a, b.into()])
 }
 
-fn render_map<T>(
-    out: &mut String,
-    indent: &str,
-    map: &BTreeMap<String, T>,
-    mut render: impl FnMut(&mut String, &T),
-) {
-    if map.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    for (i, (name, value)) in map.iter().enumerate() {
-        let _ = write!(out, "{indent}  \"{}\": ", json_escape(name));
-        render(out, value);
-        out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(out, "{indent}}}");
-}
-
-/// Renders `snapshot` as a pretty-printed JSON document (see the module docs for the schema).
-pub fn to_json(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"version\": {},", snapshot.version);
-
-    out.push_str("  \"counters\": ");
-    render_map(&mut out, "  ", &snapshot.counters, |out, v| {
-        let _ = write!(out, "{v}");
-    });
-    out.push_str(",\n  \"gauges\": ");
-    render_map(&mut out, "  ", &snapshot.gauges, |out, v| {
-        out.push_str(&json_number(*v));
-    });
-    out.push_str(",\n  \"histograms\": ");
-    render_map(&mut out, "  ", &snapshot.histograms, |out, h| {
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-            h.count,
-            json_number(h.sum),
-            json_number(h.min),
-            json_number(h.max)
-        );
-        for (i, &(edge, cumulative)) in h.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{}, {cumulative}]", json_number(edge));
-        }
-        out.push_str("]}");
-    });
-    out.push_str(",\n  \"spans\": ");
-    render_map(&mut out, "  ", &snapshot.spans, |out, s| {
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-            s.count, s.total_ns, s.max_ns
-        );
-    });
-    out.push_str(",\n  \"top_keys\": ");
-    render_map(&mut out, "  ", &snapshot.top_keys, |out, keys| {
-        out.push('[');
-        for (i, &(key, count)) in keys.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{key}, {count}]");
-        }
-        out.push(']');
-    });
-    out.push_str("\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// JSON parsing
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value; numbers keep their raw text so integers round-trip exactly.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(String),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Json::Number(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| format!("expected unsigned integer, got {raw:?}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    /// An `f64`, accepting the `"inf"` string sentinel used for bucket edges.
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Number(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| format!("expected number, got {raw:?}")),
-            Json::String(s) if s == "inf" => Ok(f64::INFINITY),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn as_object(&self) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Object(members) => Ok(members),
-            other => Err(format!("expected object, got {other:?}")),
-        }
-    }
-
-    fn as_array(&self) -> Result<&[Json], String> {
-        match self {
-            Json::Array(items) => Ok(items),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("JSON parse error at byte {}: {message}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected {:?}", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected {word:?}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid utf-8 in number"))?;
-        if raw.is_empty() || raw.parse::<f64>().is_err() {
-            return Err(self.error(&format!("malformed number {raw:?}")));
-        }
-        Ok(Json::Number(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.error("unterminated string"));
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("malformed \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8 in string"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(members));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            members.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(members));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-}
-
-fn parse_document(text: &str) -> Result<Json, String> {
-    let mut parser = Parser::new(text);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing content after document"));
-    }
-    Ok(value)
+/// Renders `snapshot` as a JSON document in the expanded layout (see the module docs for the
+/// schema).
+pub(crate) fn to_json(snapshot: &Snapshot) -> String {
+    let document = Json::object([
+        ("version", Json::from(snapshot.version)),
+        ("counters", json_map(&snapshot.counters, |&v| Json::from(v))),
+        ("gauges", json_map(&snapshot.gauges, |&v| Json::float(v))),
+        (
+            "histograms",
+            json_map(&snapshot.histograms, |h| {
+                Json::object([
+                    ("count", Json::from(h.count)),
+                    ("sum", Json::float(h.sum)),
+                    ("min", Json::float(h.min)),
+                    ("max", Json::float(h.max)),
+                    (
+                        "buckets",
+                        Json::Array(
+                            h.buckets
+                                .iter()
+                                .map(|&(edge, cumulative)| json_pair(Json::float(edge), cumulative))
+                                .collect(),
+                        ),
+                    ),
+                ])
+            }),
+        ),
+        (
+            "spans",
+            json_map(&snapshot.spans, |s| {
+                Json::object([
+                    ("count", Json::from(s.count)),
+                    ("total_ns", Json::from(s.total_ns)),
+                    ("max_ns", Json::from(s.max_ns)),
+                ])
+            }),
+        ),
+        (
+            "top_keys",
+            json_map(&snapshot.top_keys, |keys| {
+                Json::Array(
+                    keys.entries
+                        .iter()
+                        .map(|&(key, count)| json_pair(Json::from(key), count))
+                        .collect(),
+                )
+            }),
+        ),
+    ]);
+    format!("{document:#}\n")
 }
 
 fn histogram_from_json(value: &Json) -> Result<HistogramSnapshot, String> {
-    let mut snap = HistogramSnapshot {
-        count: 0,
-        sum: 0.0,
-        min: 0.0,
-        max: 0.0,
-        buckets: Vec::new(),
-    };
+    let mut snap = HistogramSnapshot::default();
     for (key, member) in value.as_object()? {
         match key.as_str() {
             "count" => snap.count = member.as_u64()?,
@@ -552,11 +271,7 @@ fn histogram_from_json(value: &Json) -> Result<HistogramSnapshot, String> {
 }
 
 fn span_from_json(value: &Json) -> Result<SpanSnapshot, String> {
-    let mut snap = SpanSnapshot {
-        count: 0,
-        total_ns: 0,
-        max_ns: 0,
-    };
+    let mut snap = SpanSnapshot::default();
     for (key, member) in value.as_object()? {
         match key.as_str() {
             "count" => snap.count = member.as_u64()?,
@@ -594,8 +309,8 @@ fn string_map<T>(
 }
 
 /// Parses a snapshot previously rendered by [`to_json`]. Unknown fields are an error.
-pub fn from_json(text: &str) -> Result<Snapshot, String> {
-    let document = parse_document(text)?;
+pub(crate) fn from_json(text: &str) -> Result<Snapshot, String> {
+    let document = json::parse(text).map_err(|error| error.to_string())?;
     let mut snapshot = Snapshot::new();
     for (key, member) in document.as_object()? {
         match key.as_str() {
@@ -611,9 +326,75 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
     Ok(snapshot)
 }
 
+/// Replaces the file at `path` with `bytes` so that a concurrent reader sees the old file or
+/// the new one, never a prefix: the bytes go to a synced sibling temp file that is then
+/// renamed over `path`. One writer per `path` at a time.
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let temp = path.with_extension(format!("{}.tmp", std::process::id()));
+    let written = File::create(&temp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&temp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A hand-built snapshot touching every member kind, an escaped name, an infinite bucket
+    /// edge, an empty histogram and an empty top-key list.
+    fn fixed_snapshot() -> Snapshot {
+        let mut snapshot = Snapshot::new();
+        snapshot.counters.insert("ingest/bytes".into(), 1_000_000);
+        snapshot.counters.insert("tab\there \"q\"".into(), 0);
+        snapshot.gauges.insert("serving/shard_skew".into(), 1.25);
+        snapshot.gauges.insert("tiny".into(), 1e-7);
+        snapshot.gauges.insert("negative".into(), -0.5);
+        snapshot.histograms.insert(
+            "serving/latency_ms".into(),
+            HistogramSnapshot {
+                count: 5,
+                sum: 74.5,
+                min: 0.5,
+                max: 64.0,
+                buckets: vec![(0.5, 1), (1.0, 3), (8.0, 4), (f64::INFINITY, 5)],
+            },
+        );
+        snapshot.histograms.insert(
+            "empty".into(),
+            HistogramSnapshot {
+                count: 0,
+                sum: 0.0,
+                min: 0.0,
+                max: 0.0,
+                buckets: Vec::new(),
+            },
+        );
+        snapshot.spans.insert(
+            "partition/refinement".into(),
+            SpanSnapshot {
+                count: 2,
+                total_ns: 2_000_000,
+                max_ns: 1_500_000,
+            },
+        );
+        snapshot.top_keys.insert(
+            "serving/hot_keys".into(),
+            TopKeysSnapshot {
+                entries: vec![(7, 9), (3, 1)],
+            },
+        );
+        snapshot
+            .top_keys
+            .insert("cold".into(), TopKeysSnapshot::default());
+        snapshot
+    }
 
     fn sample() -> Snapshot {
         let registry = crate::Registry::new();
@@ -649,6 +430,48 @@ mod tests {
     }
 
     #[test]
+    fn json_rendering_is_pinned() {
+        assert_eq!(to_json(&fixed_snapshot()), GOLDEN);
+    }
+
+    const GOLDEN: &str = r#"{
+  "version": 1,
+  "counters": {
+    "ingest/bytes": 1000000,
+    "tab\there \"q\"": 0
+  },
+  "gauges": {
+    "negative": -0.5,
+    "serving/shard_skew": 1.25,
+    "tiny": 0.0000001
+  },
+  "histograms": {
+    "empty": {"count": 0, "sum": 0, "min": 0, "max": 0, "buckets": []},
+    "serving/latency_ms": {"count": 5, "sum": 74.5, "min": 0.5, "max": 64, "buckets": [[0.5, 1], [1, 3], [8, 4], ["inf", 5]]}
+  },
+  "spans": {
+    "partition/refinement": {"count": 2, "total_ns": 2000000, "max_ns": 1500000}
+  },
+  "top_keys": {
+    "cold": [],
+    "serving/hot_keys": [[7, 9], [3, 1]]
+  }
+}
+"#;
+
+    #[test]
+    fn json_round_trips_non_finite_gauges() {
+        let mut snapshot = Snapshot::new();
+        snapshot.gauges.insert("nan".into(), f64::NAN);
+        snapshot.gauges.insert("pos".into(), f64::INFINITY);
+        snapshot.gauges.insert("neg".into(), f64::NEG_INFINITY);
+        let parsed = from_json(&to_json(&snapshot)).expect("non-finite gauges parse back");
+        assert!(parsed.gauges["nan"].is_nan());
+        assert_eq!(parsed.gauges["pos"], f64::INFINITY);
+        assert_eq!(parsed.gauges["neg"], f64::NEG_INFINITY);
+    }
+
+    #[test]
     fn json_rejects_unknown_fields_and_garbage() {
         assert!(from_json("{\"bogus\": 1}").is_err());
         assert!(from_json("not json").is_err());
@@ -674,6 +497,24 @@ mod tests {
             .insert("weird \"name\"\\with\nstuff".to_string(), 5);
         let parsed = from_json(&to_json(&snapshot)).unwrap();
         assert_eq!(parsed.counters["weird \"name\"\\with\nstuff"], 5);
+    }
+
+    #[test]
+    fn write_atomically_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("shp_write_atomically_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics.json");
+        write_atomically(&path, b"{\"version\": 0}").unwrap();
+        let snapshot = sample();
+        write_atomically(&path, to_json(&snapshot).as_bytes()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(from_json(&text).unwrap(), snapshot);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["metrics.json"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * [`Registry`] / [`Snapshot`] — named-metric registration and a mergeable point-in-time
 //!   snapshot, exported as Prometheus text exposition ([`Snapshot::to_prometheus`]) or a JSON
 //!   document ([`Snapshot::to_json`] / [`Snapshot::from_json`]).
+//! * [`json`] — the workspace's one JSON codec (value tree, writer, depth-bounded parser),
+//!   shared by snapshots, the CLI's `--json` reports and the `BENCH_*.json` files.
 //!
 //! ## The lock-free record path
 //!
@@ -66,6 +68,7 @@
 
 pub mod export;
 pub mod histogram;
+pub mod json;
 pub mod registry;
 pub mod scalar;
 pub mod sketch;

@@ -191,7 +191,7 @@ impl Registry {
 }
 
 /// Frozen state of one [`Histogram`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramSnapshot {
     /// Total observations.
     pub count: u64,
@@ -245,7 +245,7 @@ impl HistogramSnapshot {
 }
 
 /// Frozen state of one span path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanSnapshot {
     /// Completed spans on this path.
     pub count: u64,

@@ -27,7 +27,6 @@ pub struct SuperstepMetrics {
     /// Messages eliminated by the combiner before delivery.
     pub combined_messages: u64,
     /// Wall-clock duration of the superstep (compute + routing).
-    #[serde(with = "duration_micros")]
     pub duration: Duration,
     /// Number of vertices processed by the busiest worker (load-balance indicator).
     pub max_worker_vertices: usize,
@@ -101,25 +100,6 @@ impl ExecutionMetrics {
     /// engine runs, e.g. recursive bisection levels).
     pub fn absorb(&mut self, other: &ExecutionMetrics) {
         self.supersteps.extend(other.supersteps.iter().cloned());
-    }
-}
-
-mod duration_micros {
-    //! Serializes [`std::time::Duration`] as integer microseconds so the metrics can be stored
-    //! in JSON experiment reports.
-    // Referenced by `#[serde(with = ...)]`; the vendored no-op derive does not expand to calls,
-    // so these helpers look dead to rustc until a real serde backend is enabled.
-    #![allow(dead_code)]
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_micros() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let micros = u64::deserialize(d)?;
-        Ok(Duration::from_micros(micros))
     }
 }
 
