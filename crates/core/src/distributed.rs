@@ -45,7 +45,7 @@ use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
 use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId, Partition};
 use shp_vertex_centric::{
-    Context, Engine, EngineConfig, ExecutionMetrics, MasterOutcome, TopologyBuilder, VertexProgram,
+    Context, Engine, EngineConfig, ExecutionMetrics, MasterOutcome, Topology, VertexProgram,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -89,32 +89,44 @@ enum ShpValue {
     Query,
 }
 
-/// Messages exchanged along bipartite edges.
-#[derive(Debug, Clone)]
+/// Messages a vertex broadcasts to its bipartite neighbors. The engine stores each broadcast
+/// once and every neighbor reads it by reference.
+#[derive(Debug)]
 enum ShpMessage {
     /// Data → query: the sender's current bucket.
     Bucket(BucketId),
-    /// Query → data: the query's non-zero neighbor data, shared by every copy the query
-    /// sends (a copy costs a reference count, not an allocation).
-    NeighborData(Arc<[(BucketId, u32)]>),
+    /// Query → data: the query's non-zero neighbor data.
+    NeighborData(Box<[(BucketId, u32)]>),
 }
 
 /// Per-superstep aggregate collected by the master.
 ///
-/// A vertex contributes at most one `weight` and one `proposal`;
-/// [`VertexProgram::merge_aggregates`] folds them into the dense `bucket_weights`, `histograms`
-/// and `swaps` tables as the per-worker accumulator absorbs them, so the per-vertex
-/// contribution stays O(1) (no per-vertex table allocation) while each worker builds one set
-/// of tables per superstep.
+/// A vertex contributes at most one `weight`, one `proposal`, a `moved` count or a
+/// `fanout_sum`, and no tables. [`VertexProgram::merge_aggregates`] folds the single
+/// contributions into the dense `tables`, which a worker's accumulator allocates at its first
+/// fold of the superstep, so a per-vertex contribution never builds or moves a table.
 #[derive(Debug, Clone, Default)]
 struct ShpAggregate {
     weight: Option<(BucketId, u64)>,
     proposal: Option<MoveProposal>,
+    moved: u64,
+    fanout_sum: u64,
+    tables: Option<Box<ShpTables>>,
+}
+
+/// The master's dense tables, built from the folded contributions.
+#[derive(Debug, Clone, Default)]
+struct ShpTables {
+    /// Total data weight per bucket (direct mode).
     bucket_weights: Vec<u64>,
     histograms: GainHistogramSet,
     swaps: SwapMatrix,
-    moved: u64,
-    fanout_sum: u64,
+}
+
+impl ShpAggregate {
+    fn tables_mut(&mut self) -> &mut ShpTables {
+        self.tables.get_or_insert_with(Box::default)
+    }
 }
 
 /// Global value broadcast by the master.
@@ -153,7 +165,7 @@ impl VertexProgram for ShpProgram<'_> {
         ctx: &mut Context<'_, Self>,
         vertex: u32,
         value: &mut ShpValue,
-        messages: &[ShpMessage],
+        messages: &[&ShpMessage],
     ) {
         let phase = ctx.superstep() % 4;
         match value {
@@ -235,7 +247,7 @@ impl VertexProgram for ShpProgram<'_> {
                             fanout_sum: counts.len() as u64,
                             ..Default::default()
                         });
-                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts.into()));
+                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts.into_boxed_slice()));
                     }
                 }
             }
@@ -245,20 +257,24 @@ impl VertexProgram for ShpProgram<'_> {
     fn merge_aggregates(&self, mut a: ShpAggregate, b: ShpAggregate) -> ShpAggregate {
         // Fold the single contributions into the accumulator's tables; every table holds
         // commutative counters, so any merge association yields the same aggregate.
-        for (bucket, weight) in [a.weight.take(), b.weight].into_iter().flatten() {
-            add_weight(&mut a.bucket_weights, bucket, weight);
+        if let Some(other) = b.tables {
+            let tables = a.tables_mut();
+            for (bucket, &weight) in other.bucket_weights.iter().enumerate() {
+                add_weight(&mut tables.bucket_weights, bucket as BucketId, weight);
+            }
+            tables.histograms.merge(&other.histograms);
+            tables.swaps.merge(&other.swaps);
         }
-        for (bucket, &weight) in b.bucket_weights.iter().enumerate() {
-            add_weight(&mut a.bucket_weights, bucket as BucketId, weight);
+        for (bucket, weight) in [a.weight.take(), b.weight].into_iter().flatten() {
+            add_weight(&mut a.tables_mut().bucket_weights, bucket, weight);
         }
         for p in [a.proposal.take(), b.proposal].into_iter().flatten() {
+            let tables = a.tables_mut();
             match self.swap_strategy {
-                SwapStrategy::Histogram => a.histograms.record(&p),
-                SwapStrategy::Matrix => a.swaps.record(&p),
+                SwapStrategy::Histogram => tables.histograms.record(&p),
+                SwapStrategy::Matrix => tables.swaps.record(&p),
             }
         }
-        a.histograms.merge(&b.histograms);
-        a.swaps.merge(&b.swaps);
         a.moved += b.moved;
         a.fanout_sum += b.fanout_sum;
         a
@@ -285,11 +301,12 @@ impl VertexProgram for ShpProgram<'_> {
             }
             2 => {
                 // End of the gain superstep: turn the aggregate into move probabilities.
+                let tables = aggregate.tables.unwrap_or_default();
                 global.probabilities = Some(match self.swap_strategy {
                     SwapStrategy::Histogram => {
-                        MoveProbabilities::from_histograms(&aggregate.histograms)
+                        MoveProbabilities::from_histograms(&tables.histograms)
                     }
-                    SwapStrategy::Matrix => aggregate.swaps.move_probabilities(),
+                    SwapStrategy::Matrix => tables.swaps.move_probabilities(),
                 });
                 MasterOutcome::Continue(global)
             }
@@ -323,7 +340,10 @@ impl VertexProgram for ShpProgram<'_> {
                     return MasterOutcome::Halt;
                 }
                 if let TargetConstraint::All { k } = self.constraint {
-                    let weights = &aggregate.bucket_weights;
+                    let weights = aggregate
+                        .tables
+                        .map(|tables| tables.bucket_weights)
+                        .unwrap_or_default();
                     global.least_loaded = (0..k)
                         .min_by_key(|&b| weights.get(b as usize).copied().unwrap_or(0))
                         .unwrap_or(0);
@@ -367,6 +387,11 @@ pub fn partition_distributed(
     num_workers: usize,
 ) -> ShpResult<DistributedRunResult> {
     config.validate()?;
+    if num_workers == 0 {
+        return Err(ShpError::InvalidConfig(
+            "num_workers: partition_distributed needs at least one worker".into(),
+        ));
+    }
     if config.balance_mode == BalanceMode::Strict {
         return Err(ShpError::InvalidConfig(
             "balance_mode: Strict is not supported by partition_distributed (the BSP master \
@@ -382,6 +407,7 @@ pub fn partition_distributed(
         ));
     }
     let start = Instant::now();
+    let topology = Arc::new(engine_topology(graph));
     let mut metrics = ExecutionMetrics::new(num_workers);
     let mut history = Vec::new();
     let mut job = |assignment: Vec<BucketId>, objective, constraint, num_buckets, seed| {
@@ -397,7 +423,14 @@ pub fn partition_distributed(
                 .map(|_| Mutex::new(GainScratch::new(num_buckets)))
                 .collect(),
         };
-        run_job(program, assignment, num_workers, &mut metrics, &mut history)
+        run_job(
+            program,
+            &topology,
+            assignment,
+            num_workers,
+            &mut metrics,
+            &mut history,
+        )
     };
 
     let assignment = match config.mode {
@@ -440,10 +473,30 @@ pub fn partition_distributed(
     })
 }
 
-/// Runs one engine job of `program` from `initial_assignment`, appending its history and
-/// communication metrics, and returns the final bucket assignment.
+/// The engine topology of `graph`: data vertex `v` is vertex `v`, query `q` is vertex
+/// `|D| + q`, and every bipartite edge points both ways. Built once per
+/// [`partition_distributed`] call and shared by every recursion level.
+fn engine_topology(graph: &BipartiteGraph) -> Topology {
+    let num_data = graph.num_data() as u32;
+    let mut offsets = Vec::with_capacity(graph.num_data() + graph.num_queries() + 1);
+    let mut neighbors = Vec::with_capacity(2 * graph.num_edges());
+    offsets.push(0);
+    for v in graph.data_vertices() {
+        neighbors.extend(graph.data_neighbors(v).iter().map(|&q| num_data + q));
+        offsets.push(neighbors.len() as u64);
+    }
+    for q in graph.queries() {
+        neighbors.extend_from_slice(graph.query_neighbors(q));
+        offsets.push(neighbors.len() as u64);
+    }
+    Topology::from_csr(offsets, neighbors)
+}
+
+/// Runs one engine job of `program` over `topology` from `initial_assignment`, appending its
+/// history and communication metrics, and returns the final bucket assignment.
 fn run_job(
     program: ShpProgram<'_>,
+    topology: &Arc<Topology>,
     initial_assignment: Vec<BucketId>,
     num_workers: usize,
     metrics: &mut ExecutionMetrics,
@@ -451,11 +504,6 @@ fn run_job(
 ) -> Vec<BucketId> {
     let graph = program.graph;
     let num_data = graph.num_data();
-    // Vertex universe: data vertices first, then query vertices.
-    let mut topo = TopologyBuilder::new(num_data + graph.num_queries());
-    for (q, v) in graph.edges() {
-        topo.add_undirected_edge(num_data as u32 + q, v);
-    }
     let values: Vec<ShpValue> = initial_assignment
         .into_iter()
         .map(|bucket| ShpValue::Data {
@@ -465,7 +513,7 @@ fn run_job(
         .chain(std::iter::repeat_n(ShpValue::Query, graph.num_queries()))
         .collect();
     let engine_config = EngineConfig::new(num_workers, program.max_iterations * 4 + 4);
-    let mut engine = Engine::new(program, topo.build(), values, engine_config);
+    let mut engine = Engine::new(program, Arc::clone(topology), values, engine_config);
     engine.run();
 
     let base = history.len();
@@ -582,6 +630,97 @@ mod tests {
     fn invalid_config_is_rejected() {
         let graph = community_graph(2, 4);
         assert!(partition_distributed(&graph, &ShpConfig::direct(0), 2).is_err());
+    }
+
+    #[test]
+    fn zero_workers_are_rejected_by_name() {
+        let graph = community_graph(2, 4);
+        match partition_distributed(&graph, &ShpConfig::direct(2), 0) {
+            Err(ShpError::InvalidConfig(msg)) => assert!(msg.contains("num_workers"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn communication_accounting_is_pinned_per_superstep() {
+        // Two iterations of direct k=2: bucket broadcasts (15 edges × 4 bytes), neighbor data
+        // (8 bytes per entry, per edge), two silent supersteps, then the halting superstep's
+        // bucket broadcast. Vertex v lives on worker v mod W; data 0..7, queries 7..12.
+        let mut b = GraphBuilder::new();
+        b.add_query([0u32, 1, 2]);
+        b.add_query([1u32, 2, 3, 4]);
+        b.add_query([3u32, 4]);
+        b.add_query([0u32, 5, 6]);
+        b.add_query([5u32, 6, 4]);
+        let graph = b.build().unwrap();
+        let config = ShpConfig::direct(2).with_seed(3).with_max_iterations(2);
+        // Per superstep: (active_vertices, max_worker_vertices, messages_sent,
+        // remote_messages, bytes_sent, remote_bytes).
+        type Row = (usize, usize, u64, u64, u64, u64);
+        let expected: [(usize, [Row; 9]); 3] = [
+            (
+                1,
+                [
+                    (12, 12, 15, 0, 60, 0),
+                    (12, 12, 15, 0, 192, 0),
+                    (12, 12, 0, 0, 0, 0),
+                    (12, 12, 0, 0, 0, 0),
+                    (12, 12, 15, 0, 60, 0),
+                    (12, 12, 15, 0, 168, 0),
+                    (12, 12, 0, 0, 0, 0),
+                    (12, 12, 0, 0, 0, 0),
+                    (12, 12, 15, 0, 60, 0),
+                ],
+            ),
+            (
+                2,
+                [
+                    (12, 6, 15, 8, 60, 32),
+                    (12, 6, 15, 8, 192, 104),
+                    (12, 6, 0, 0, 0, 0),
+                    (12, 6, 0, 0, 0, 0),
+                    (12, 6, 15, 8, 60, 32),
+                    (12, 6, 15, 8, 168, 88),
+                    (12, 6, 0, 0, 0, 0),
+                    (12, 6, 0, 0, 0, 0),
+                    (12, 6, 15, 8, 60, 32),
+                ],
+            ),
+            (
+                3,
+                [
+                    (12, 4, 15, 11, 60, 44),
+                    (12, 4, 15, 11, 192, 136),
+                    (12, 4, 0, 0, 0, 0),
+                    (12, 4, 0, 0, 0, 0),
+                    (12, 4, 15, 11, 60, 44),
+                    (12, 4, 15, 11, 168, 120),
+                    (12, 4, 0, 0, 0, 0),
+                    (12, 4, 0, 0, 0, 0),
+                    (12, 4, 15, 11, 60, 44),
+                ],
+            ),
+        ];
+        for (workers, rows) in expected {
+            let result = partition_distributed(&graph, &config, workers).unwrap();
+            assert_eq!(result.partition.assignment(), &[1, 1, 1, 1, 0, 1, 1]);
+            let actual: Vec<Row> = result
+                .metrics
+                .supersteps
+                .iter()
+                .map(|s| {
+                    (
+                        s.active_vertices,
+                        s.max_worker_vertices,
+                        s.messages_sent,
+                        s.remote_messages,
+                        s.bytes_sent,
+                        s.remote_bytes,
+                    )
+                })
+                .collect();
+            assert_eq!(actual, rows, "workers={workers}");
+        }
     }
 
     #[test]

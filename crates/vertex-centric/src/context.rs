@@ -1,19 +1,25 @@
 //! The per-vertex compute context handed to [`crate::VertexProgram::compute`].
+//!
+//! A vertex communicates only by broadcasting to its out-neighbors: the context posts the
+//! message once into its worker's post list and counts the per-out-edge traffic there (see
+//! [`crate::routing`]). Out-neighbors read the post in the next superstep.
 
 use crate::program::VertexProgram;
-use crate::routing::WorkerOutbox;
+use crate::routing::WorkerPosts;
 use crate::topology::Topology;
 
 /// Everything a vertex may do during its compute call: inspect the superstep and the global
-/// value, look at its out-neighbors, send messages, contribute to the aggregate, and vote to
-/// halt. Mirrors the API surface Giraph exposes to a `Computation`.
+/// value, look at its out-neighbors, broadcast messages, contribute to the aggregate, and vote
+/// to halt. Mirrors the API surface Giraph exposes to a `Computation`.
 pub struct Context<'a, P: VertexProgram + ?Sized> {
     pub(crate) program: &'a P,
     pub(crate) superstep: usize,
     pub(crate) global: &'a P::Global,
     pub(crate) topology: &'a Topology,
+    /// Per vertex, how many of its out-neighbors live on another worker.
+    pub(crate) remote_degrees: &'a [u32],
     pub(crate) vertex: u32,
-    pub(crate) outbox: &'a mut WorkerOutbox<P::Message>,
+    pub(crate) posts: &'a mut WorkerPosts<P::Message>,
     pub(crate) aggregate: &'a mut P::Aggregate,
     pub(crate) halt: &'a mut bool,
 }
@@ -49,18 +55,17 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
         self.topology.degree(self.vertex)
     }
 
-    /// Sends a message to vertex `to`, delivered at the start of the next superstep.
-    pub fn send(&mut self, to: u32, message: P::Message) {
-        let size = self.program.message_size(&message);
-        self.outbox.push(self.vertex, to, message, size);
-    }
-
-    /// Sends a copy of `message` to every out-neighbor of the current vertex.
+    /// Sends `message` to every out-neighbor of the current vertex, delivered at the start of
+    /// the next superstep. It is stored once; each out-edge counts as one message of
+    /// [`crate::VertexProgram::message_size`] bytes.
     pub fn send_to_neighbors(&mut self, message: P::Message) {
-        for &n in self.topology.neighbors(self.vertex) {
-            let size = self.program.message_size(&message);
-            self.outbox.push(self.vertex, n, message.clone(), size);
+        let degree = self.degree();
+        if degree == 0 {
+            return;
         }
+        let size = self.program.message_size(&message);
+        let remote = self.remote_degrees[self.vertex as usize] as usize;
+        self.posts.post(message, size, degree, remote);
     }
 
     /// Contributes a value to this superstep's aggregate (merged with

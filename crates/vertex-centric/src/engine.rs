@@ -1,10 +1,11 @@
-//! The BSP engine: worker partitioning, superstep loop, message routing, master compute.
+//! The BSP engine: worker partitioning, superstep loop, message delivery, master compute.
 
 use crate::context::Context;
 use crate::metrics::{ExecutionMetrics, SuperstepMetrics};
 use crate::program::{MasterOutcome, VertexProgram};
-use crate::routing::{group_by_vertex, route, Envelope, WorkerOutbox};
+use crate::routing::{gather, WorkerPosts};
 use crate::topology::Topology;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of an engine run.
@@ -46,23 +47,23 @@ struct WorkerState<V> {
     halted: Vec<bool>,
 }
 
-/// One simulated worker's unit of superstep work: its mutable state and pending inbox.
-type WorkerTask<'a, V, M> = (&'a mut WorkerState<V>, Vec<Envelope<M>>);
-
 /// Result produced by one worker for one superstep.
 struct WorkerStepResult<M, A> {
-    outbox: WorkerOutbox<M>,
+    posts: WorkerPosts<M>,
     aggregate: A,
     active: usize,
-    combined: u64,
 }
 
 /// A vertex-centric BSP engine executing a [`VertexProgram`] over a [`Topology`].
 ///
+/// Messages are posted once and pulled by reference: a vertex's broadcast is stored in its
+/// worker's post list, and in the next superstep each receiver reads the posts of its
+/// in-neighbors, in ascending sender order.
+///
 /// # Example
 ///
-/// Counting each vertex's degree via messages (every vertex messages its neighbors in
-/// superstep 0 and counts incoming messages in superstep 1):
+/// Counting each vertex's degree via messages (every vertex broadcasts to its neighbors in
+/// superstep 0 and counts what it reads in superstep 1):
 ///
 /// ```
 /// use shp_vertex_centric::{Context, Engine, EngineConfig, MasterOutcome, TopologyBuilder, VertexProgram};
@@ -74,7 +75,7 @@ struct WorkerStepResult<M, A> {
 ///     type Aggregate = u64;
 ///     type Global = ();
 ///
-///     fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[u32]) {
+///     fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[&u32]) {
 ///         if ctx.superstep() == 0 {
 ///             ctx.send_to_neighbors(1);
 ///         } else {
@@ -95,36 +96,52 @@ struct WorkerStepResult<M, A> {
 /// let mut engine = Engine::new(DegreeCount, t.build(), vec![0; 3], EngineConfig::new(2, 10));
 /// engine.run();
 /// assert_eq!(engine.values(), vec![1, 2, 1]);
+/// // Three broadcasts stored once each, counted once per out-edge: 4 messages.
+/// assert_eq!(engine.metrics().supersteps[0].messages_sent, 4);
 /// ```
 pub struct Engine<P: VertexProgram> {
     program: P,
     config: EngineConfig,
-    topology: Topology,
+    topology: Arc<Topology>,
+    /// Per vertex, how many of its out-neighbors live on another worker.
+    remote_degrees: Vec<u32>,
     workers: Vec<WorkerState<P::Value>>,
     global: P::Global,
     metrics: ExecutionMetrics,
-    /// Messages awaiting delivery, one inbox per worker.
-    inboxes: Vec<Vec<Envelope<P::Message>>>,
+    /// What each worker posted in the last superstep, read in the next one.
+    posts: Vec<WorkerPosts<P::Message>>,
     superstep: usize,
 }
 
 impl<P: VertexProgram> Engine<P> {
-    /// Creates an engine over `topology` with one initial value per vertex.
+    /// Creates an engine over `topology` with one initial value per vertex. Pass an
+    /// `Arc<Topology>` to share one topology (and its transpose) between several runs.
     ///
     /// # Panics
     /// Panics if `initial_values.len() != topology.num_vertices()`.
     pub fn new(
         program: P,
-        topology: Topology,
+        topology: impl Into<Arc<Topology>>,
         initial_values: Vec<P::Value>,
         config: EngineConfig,
     ) -> Self {
+        let topology = topology.into();
         assert_eq!(
             initial_values.len(),
             topology.num_vertices(),
             "one initial value per vertex required"
         );
         let w = config.num_workers;
+        let remote_degrees = (0..topology.num_vertices() as u32)
+            .map(|v| {
+                let worker = v as usize % w;
+                topology
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&n| n as usize % w != worker)
+                    .count() as u32
+            })
+            .collect();
         let mut workers: Vec<WorkerState<P::Value>> = (0..w)
             .map(|_| WorkerState {
                 values: Vec::new(),
@@ -136,16 +153,15 @@ impl<P: VertexProgram> Engine<P> {
             workers[worker].values.push(value);
             workers[worker].halted.push(false);
         }
-        let metrics = ExecutionMetrics::new(w);
-        let inboxes = (0..w).map(|_| Vec::new()).collect();
         Engine {
             program,
             config,
             topology,
+            remote_degrees,
             workers,
             global: P::Global::default(),
-            metrics,
-            inboxes,
+            metrics: ExecutionMetrics::new(w),
+            posts: (0..w).map(|_| WorkerPosts::new()).collect(),
             superstep: 0,
         }
     }
@@ -198,38 +214,34 @@ impl<P: VertexProgram> Engine<P> {
         let start = Instant::now();
         let num_workers = self.config.num_workers;
         let program = &self.program;
-        let topology = &self.topology;
+        let topology = &*self.topology;
+        let remote_degrees = &self.remote_degrees[..];
         let global = &self.global;
         let superstep = self.superstep;
-
-        // Take the pending inboxes; they will be replaced by the newly routed messages.
-        let inboxes = std::mem::replace(
-            &mut self.inboxes,
-            (0..num_workers).map(|_| Vec::new()).collect(),
-        );
+        let previous = &self.posts[..];
+        // When nobody posted, no vertex has anything to read: skip every in-edge scan.
+        let any_posted = previous.iter().any(|p| !p.is_empty());
 
         // Each simulated worker processes its vertices on its own real thread (one scoped
         // thread per worker, results collected in worker-index order so the merge below is
         // deterministic regardless of which worker finishes first).
-        let work: Vec<WorkerTask<'_, P::Value, P::Message>> =
-            self.workers.iter_mut().zip(inboxes).collect();
+        let work: Vec<&mut WorkerState<P::Value>> = self.workers.iter_mut().collect();
         let results: Vec<WorkerStepResult<P::Message, P::Aggregate>> =
-            rayon::pool::map_vec(work, num_workers, |worker_idx, (state, inbox)| {
-                let local_count = state.values.len();
-                let (messages, combined) =
-                    group_by_vertex(inbox, num_workers, local_count, |a, b| {
-                        program.combine(a, b)
-                    });
-                let mut outbox = WorkerOutbox::new(worker_idx, num_workers);
+            rayon::pool::map_vec(work, num_workers, |worker_idx, state| {
+                let mut posts = WorkerPosts::new();
+                let mut inbox: Vec<&P::Message> = Vec::new();
                 let mut aggregate = P::Aggregate::default();
                 let mut active = 0usize;
-                for (local, incoming) in messages.iter().enumerate() {
-                    if state.halted[local] && incoming.is_empty() {
+                for local in 0..state.values.len() {
+                    let vertex = (local * num_workers + worker_idx) as u32;
+                    if any_posted {
+                        gather(&mut inbox, topology.in_neighbors(vertex), previous);
+                    }
+                    if state.halted[local] && inbox.is_empty() {
+                        posts.end_vertex();
                         continue;
                     }
                     active += 1;
-                    state.halted[local] = false;
-                    let vertex = (local * num_workers + worker_idx) as u32;
                     let mut halt = false;
                     {
                         let mut ctx = Context {
@@ -237,20 +249,21 @@ impl<P: VertexProgram> Engine<P> {
                             superstep,
                             global,
                             topology,
+                            remote_degrees,
                             vertex,
-                            outbox: &mut outbox,
+                            posts: &mut posts,
                             aggregate: &mut aggregate,
                             halt: &mut halt,
                         };
-                        program.compute(&mut ctx, vertex, &mut state.values[local], incoming);
+                        program.compute(&mut ctx, vertex, &mut state.values[local], &inbox);
                     }
                     state.halted[local] = halt;
+                    posts.end_vertex();
                 }
                 WorkerStepResult {
-                    outbox,
+                    posts,
                     aggregate,
                     active,
-                    combined,
                 }
             });
 
@@ -260,21 +273,20 @@ impl<P: VertexProgram> Engine<P> {
             ..Default::default()
         };
         let mut merged = P::Aggregate::default();
-        let mut outboxes = Vec::with_capacity(num_workers);
+        let mut posts = Vec::with_capacity(num_workers);
         for result in results {
             step_metrics.active_vertices += result.active;
             step_metrics.max_worker_vertices = step_metrics.max_worker_vertices.max(result.active);
-            step_metrics.messages_sent += result.outbox.messages;
-            step_metrics.remote_messages += result.outbox.remote_messages;
-            step_metrics.bytes_sent += result.outbox.bytes;
-            step_metrics.remote_bytes += result.outbox.remote_bytes;
-            step_metrics.combined_messages += result.combined;
+            step_metrics.messages_sent += result.posts.traffic.messages;
+            step_metrics.remote_messages += result.posts.traffic.remote_messages;
+            step_metrics.bytes_sent += result.posts.traffic.bytes;
+            step_metrics.remote_bytes += result.posts.traffic.remote_bytes;
             merged = self.program.merge_aggregates(merged, result.aggregate);
-            outboxes.push(result.outbox);
+            posts.push(result.posts);
         }
 
-        // Route messages to their destination workers for the next superstep.
-        self.inboxes = route(outboxes);
+        // This superstep's posts become the next superstep's input.
+        self.posts = posts;
 
         // Master compute.
         let master_halt = match self.program.master_compute(superstep, merged, &self.global) {
@@ -289,7 +301,7 @@ impl<P: VertexProgram> Engine<P> {
         self.metrics.supersteps.push(step_metrics);
         self.superstep += 1;
 
-        let pending_messages = self.inboxes.iter().any(|i| !i.is_empty());
+        let pending_messages = self.posts.iter().any(|p| !p.is_empty());
         let any_unhalted = self.workers.iter().any(|w| w.halted.iter().any(|&h| !h));
         (master_halt, pending_messages || any_unhalted)
     }
@@ -316,8 +328,8 @@ mod tests {
         type Aggregate = u64; // number of label changes this superstep
         type Global = ();
 
-        fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[u32]) {
-            let incoming_min = msgs.iter().copied().min();
+        fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[&u32]) {
+            let incoming_min = msgs.iter().map(|&&m| m).min();
             let mut changed = ctx.superstep() == 0;
             if let Some(m) = incoming_min {
                 if m < *value {
@@ -330,10 +342,6 @@ mod tests {
                 ctx.send_to_neighbors(*value);
             }
             ctx.vote_to_halt();
-        }
-
-        fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-            Some(*a.min(b))
         }
 
         fn merge_aggregates(&self, a: u64, b: u64) -> u64 {
@@ -363,6 +371,16 @@ mod tests {
         let steps = engine.run();
         assert!(steps < 50, "should converge, ran {steps} supersteps");
         assert_eq!(engine.values(), vec![0, 1, 0, 1, 0]);
+
+        // Star graph: the hub reads every leaf's label and the leaves converge through it.
+        let mut b = TopologyBuilder::new(9);
+        for leaf in 1..9 {
+            b.add_undirected_edge(0, leaf);
+        }
+        let initial: Vec<u32> = (0..9).collect();
+        let mut engine = Engine::new(MinLabel, b.build(), initial, EngineConfig::new(2, 50));
+        engine.run();
+        assert!(engine.values().iter().all(|&v| v == 0));
     }
 
     #[test]
@@ -403,30 +421,6 @@ mod tests {
         assert!(engine.metrics().total_messages() > 0);
     }
 
-    #[test]
-    fn combiner_reduces_delivered_messages() {
-        // Star graph: many leaves message the hub with the min combiner; combined count > 0.
-        let mut b = TopologyBuilder::new(9);
-        for leaf in 1..9 {
-            b.add_undirected_edge(0, leaf);
-        }
-        let topology = b.build();
-        let initial: Vec<u32> = (0..9).collect();
-        let mut engine = Engine::new(MinLabel, topology, initial, EngineConfig::new(2, 50));
-        engine.run();
-        let combined: u64 = engine
-            .metrics()
-            .supersteps
-            .iter()
-            .map(|s| s.combined_messages)
-            .sum();
-        assert!(
-            combined > 0,
-            "the min combiner should merge messages to the hub"
-        );
-        assert!(engine.values().iter().all(|&v| v == 0));
-    }
-
     /// Program that halts via master decision after a fixed number of supersteps, used to test
     /// the master-driven termination path and global broadcast.
     struct CountDown {
@@ -439,7 +433,7 @@ mod tests {
         type Aggregate = usize;
         type Global = usize;
 
-        fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut usize, _msgs: &[()]) {
+        fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut usize, _msgs: &[&()]) {
             // Record the global value observed this superstep; never vote to halt.
             *value = *ctx.global();
             ctx.aggregate(1);
@@ -508,6 +502,7 @@ mod tests {
     }
 
     /// Records, in superstep 1, the ids its neighbors sent in superstep 0, in arrival order.
+    /// Vertex 5 sends twice: its id, then its id plus 100.
     struct ArrivalOrder;
 
     impl VertexProgram for ArrivalOrder {
@@ -516,11 +511,14 @@ mod tests {
         type Aggregate = ();
         type Global = ();
 
-        fn compute(&self, ctx: &mut Context<'_, Self>, v: u32, value: &mut Vec<u32>, m: &[u32]) {
+        fn compute(&self, ctx: &mut Context<'_, Self>, v: u32, value: &mut Vec<u32>, m: &[&u32]) {
             if ctx.superstep() == 0 {
                 ctx.send_to_neighbors(v);
+                if v == 5 {
+                    ctx.send_to_neighbors(v + 100);
+                }
             } else {
-                *value = m.to_vec();
+                *value = m.iter().map(|&&id| id).collect();
                 ctx.vote_to_halt();
             }
         }
@@ -535,7 +533,8 @@ mod tests {
     #[test]
     fn messages_arrive_in_ascending_sender_order_for_every_worker_count() {
         // A hub whose neighbors are added in descending id order: arrival order must follow
-        // the sender ids, not the edge order or the worker layout.
+        // the sender ids, not the edge order or the worker layout, and sender 5's two
+        // messages must arrive together, in send order.
         let mut b = TopologyBuilder::new(10);
         for leaf in (1..10).rev() {
             b.add_undirected_edge(0, leaf);
@@ -550,7 +549,7 @@ mod tests {
             engine.run();
             assert_eq!(
                 engine.value(0),
-                &(1..10).collect::<Vec<u32>>(),
+                &[1, 2, 3, 4, 5, 105, 6, 7, 8, 9],
                 "workers={workers}"
             );
         }

@@ -10,19 +10,22 @@
 //!
 //! This crate reproduces that execution model in-process:
 //!
-//! * [`VertexProgram`] — the user-defined per-vertex compute function, message combiner,
-//!   aggregate merge, and master compute, mirroring Giraph's `Computation`,
-//!   `MessageCombiner`, `Aggregator`, and `MasterCompute`.
+//! * [`VertexProgram`] — the user-defined per-vertex compute function, aggregate merge, and
+//!   master compute, mirroring Giraph's `Computation`, `Aggregator`, and `MasterCompute`.
 //! * [`Engine`] — distributes vertices over a configurable number of simulated workers
-//!   (vertex `v` lives on worker `v mod W`, as with Giraph's random vertex distribution),
+//!   (vertex `v` lives on worker `v mod W`, as with Giraph's random vertex distribution) and
 //!   runs each superstep's per-worker compute on one real scoped thread per worker (merging
-//!   worker results in worker-index order, so outcomes never depend on thread interleaving),
-//!   routes messages between workers, and applies combiners. Every vertex receives its
-//!   messages in ascending sender-vertex order, so even an order-sensitive compute (a
-//!   floating-point sum over the messages) gives the same result on any number of workers.
+//!   worker results in worker-index order, so outcomes never depend on thread interleaving).
+//! * Post-and-pull delivery ([`routing`]) — a vertex broadcasts to its out-neighbors with
+//!   [`Context::send_to_neighbors`]. The message is stored once in its worker's post list,
+//!   and in the next superstep each receiver reads its in-neighbors' posts by reference
+//!   through the transpose kept in [`Topology`]. Every vertex receives its messages in
+//!   ascending sender-vertex order, so even an order-sensitive compute (a floating-point sum
+//!   over the messages) gives the same result on any number of workers.
 //! * [`ExecutionMetrics`] — per-superstep accounting of messages, bytes, and local-vs-remote
-//!   traffic, so the communication-complexity claims of Section 3.3 of the paper can be
-//!   checked quantitatively even though no real network is involved.
+//!   traffic, counted per out-edge when a message is posted, so the communication-complexity
+//!   claims of Section 3.3 of the paper can be checked quantitatively even though no real
+//!   network is involved and no per-edge copy is made.
 //!
 //! The engine is deliberately independent of the partitioner: the unit tests run classical
 //! vertex-centric algorithms (connected components, degree counting) on it, and

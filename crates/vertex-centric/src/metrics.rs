@@ -24,9 +24,7 @@ pub struct SuperstepMetrics {
     pub bytes_sent: u64,
     /// Estimated bytes of remote messages only.
     pub remote_bytes: u64,
-    /// Messages eliminated by the combiner before delivery.
-    pub combined_messages: u64,
-    /// Wall-clock duration of the superstep (compute + routing).
+    /// Wall-clock duration of the superstep (compute, delivery and master compute).
     pub duration: Duration,
     /// Number of vertices processed by the busiest worker (load-balance indicator).
     pub max_worker_vertices: usize,
@@ -115,7 +113,6 @@ mod tests {
             remote_messages: remote,
             bytes_sent: msgs * 8,
             remote_bytes: remote * 8,
-            combined_messages: 0,
             duration: Duration::from_millis(5),
             max_worker_vertices: 4,
         }

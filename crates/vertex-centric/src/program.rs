@@ -15,7 +15,7 @@ pub enum MasterOutcome<G> {
 ///
 /// Types:
 /// * `Value` — mutable per-vertex state (e.g. current bucket, cached neighbor data).
-/// * `Message` — messages exchanged along edges; delivered at the next superstep.
+/// * `Message` — messages a vertex broadcasts to its out-neighbors; read at the next superstep.
 /// * `Aggregate` — per-superstep aggregation contributed by vertices and merged pairwise,
 ///   corresponding to Giraph aggregators (SHP uses it for the swap matrix / gain histograms).
 /// * `Global` — the value computed by the master from the merged aggregate and broadcast to
@@ -26,28 +26,24 @@ pub enum MasterOutcome<G> {
 pub trait VertexProgram: Sync {
     /// Mutable per-vertex state.
     type Value: Clone + Send + Sync;
-    /// Message type exchanged between vertices.
-    type Message: Clone + Send + Sync;
+    /// Message type a vertex broadcasts to its out-neighbors.
+    type Message: Send + Sync;
     /// Per-superstep aggregate contributed by vertices, merged pairwise by the engine.
     type Aggregate: Clone + Send + Default;
     /// Global value computed by the master and visible to every vertex in the next superstep.
     type Global: Clone + Send + Sync + Default;
 
     /// Per-vertex compute function executed once per superstep for every active vertex.
+    ///
+    /// `messages` borrows what the vertex's in-neighbors broadcast in the previous superstep,
+    /// in ascending sender order (one sender's messages in send order).
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
         vertex: u32,
         value: &mut Self::Value,
-        messages: &[Self::Message],
+        messages: &[&Self::Message],
     );
-
-    /// Optional message combiner: when two messages target the same destination vertex they may
-    /// be merged into one, reducing traffic (Giraph's `MessageCombiner`). Returning `None`
-    /// (the default) disables combining.
-    fn combine(&self, _a: &Self::Message, _b: &Self::Message) -> Option<Self::Message> {
-        None
-    }
 
     /// Merges two partial aggregates. Must be associative and commutative.
     fn merge_aggregates(&self, a: Self::Aggregate, b: Self::Aggregate) -> Self::Aggregate;

@@ -1,17 +1,63 @@
-//! Engine-side graph topology: a CSR of out-neighbors per vertex.
+//! Engine-side graph topology: a CSR of out-neighbors per vertex, plus its transpose.
 //!
 //! The topology is directed from the engine's point of view; for the bipartite SHP graph the
 //! caller adds both directions (data → query and query → data) so that messages can flow both
 //! ways, matching how Giraph stores the bipartite graph as undirected adjacency.
+//!
+//! A vertex broadcasts along its out-edges and reads along its in-edges, so the transpose
+//! (every vertex's in-neighbors, ascending) is built together with the out-CSR, once per
+//! topology. One topology can then serve several engine runs (see [`crate::Engine::new`]).
 
-/// Immutable CSR adjacency used by the [`crate::Engine`].
+/// Immutable CSR adjacency used by the [`crate::Engine`], in both directions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     offsets: Vec<u64>,
     neighbors: Vec<u32>,
+    in_offsets: Vec<u64>,
+    in_neighbors: Vec<u32>,
 }
 
 impl Topology {
+    /// Builds a topology from an out-neighbor CSR: the out-neighbors of vertex `v` are
+    /// `neighbors[offsets[v]..offsets[v + 1]]`.
+    ///
+    /// # Panics
+    /// Panics if `offsets` is empty, does not start at 0, decreases, or does not end at
+    /// `neighbors.len()`, or if an edge target is out of range.
+    pub fn from_csr(offsets: Vec<u64>, neighbors: Vec<u32>) -> Self {
+        assert!(
+            offsets.first() == Some(&0)
+                && offsets.last() == Some(&(neighbors.len() as u64))
+                && offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must rise from 0 to the edge count"
+        );
+        let n = offsets.len() - 1;
+        // Counting sort by target; scanning sources in ascending order leaves every in-list
+        // ascending, with the copies of a repeated edge adjacent.
+        let mut in_offsets = vec![0u64; n + 1];
+        for &t in &neighbors {
+            assert!((t as usize) < n, "edge target {t} out of range");
+            in_offsets[t as usize + 1] += 1;
+        }
+        for v in 0..n {
+            in_offsets[v + 1] += in_offsets[v];
+        }
+        let mut cursor = in_offsets[..n].to_vec();
+        let mut in_neighbors = vec![0u32; neighbors.len()];
+        for v in 0..n {
+            for &t in &neighbors[offsets[v] as usize..offsets[v + 1] as usize] {
+                in_neighbors[cursor[t as usize] as usize] = v as u32;
+                cursor[t as usize] += 1;
+            }
+        }
+        Topology {
+            offsets,
+            neighbors,
+            in_offsets,
+            in_neighbors,
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -33,6 +79,18 @@ impl Topology {
         let start = self.offsets[v as usize] as usize;
         let end = self.offsets[v as usize + 1] as usize;
         &self.neighbors[start..end]
+    }
+
+    /// In-neighbors of vertex `v` (the vertices with an edge to `v`), in ascending order; a
+    /// vertex with `c` edges to `v` appears `c` times in a row.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn in_neighbors(&self, v: u32) -> &[u32] {
+        let start = self.in_offsets[v as usize] as usize;
+        let end = self.in_offsets[v as usize + 1] as usize;
+        &self.in_neighbors[start..end]
     }
 
     /// Out-degree of vertex `v`.
@@ -87,8 +145,7 @@ impl TopologyBuilder {
 
     /// Finalizes the builder into an immutable CSR topology.
     pub fn build(self) -> Topology {
-        let n = self.adjacency.len();
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(self.adjacency.len() + 1);
         offsets.push(0u64);
         let total: usize = self.adjacency.iter().map(|a| a.len()).sum();
         let mut neighbors = Vec::with_capacity(total);
@@ -96,7 +153,7 @@ impl TopologyBuilder {
             neighbors.extend_from_slice(adj);
             offsets.push(neighbors.len() as u64);
         }
-        Topology { offsets, neighbors }
+        Topology::from_csr(offsets, neighbors)
     }
 }
 
@@ -140,5 +197,29 @@ mod tests {
         let t = TopologyBuilder::new(0).build();
         assert_eq!(t.num_vertices(), 0);
         assert_eq!(t.num_edges(), 0);
+    }
+
+    #[test]
+    fn in_neighbors_are_the_ascending_transpose() {
+        // Edges added out of order, with 3 → 1 twice.
+        let mut b = TopologyBuilder::new(4);
+        b.set_neighbors(3, vec![1, 0, 1]);
+        b.set_neighbors(2, vec![1]);
+        b.set_neighbors(0, vec![1, 2]);
+        let t = b.build();
+        assert_eq!(t.in_neighbors(0), &[3]);
+        assert_eq!(t.in_neighbors(1), &[0, 2, 3, 3]);
+        assert_eq!(t.in_neighbors(2), &[0]);
+        assert!(t.in_neighbors(3).is_empty());
+        assert_eq!(
+            t,
+            Topology::from_csr(vec![0, 2, 2, 3, 6], vec![1, 2, 1, 1, 0, 1])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets must rise")]
+    fn malformed_csr_panics() {
+        let _ = Topology::from_csr(vec![0, 3], vec![0]);
     }
 }

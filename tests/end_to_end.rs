@@ -171,7 +171,7 @@ fn serving_engine_reports_lower_fanout_and_latency_for_shp() {
 #[test]
 fn live_partition_swap_never_drops_or_double_serves_a_key() {
     use shp::serving::{value_of, EngineConfig, ServingEngine};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let graph = workload(1_500, 23);
     let shards = 8;
@@ -186,41 +186,61 @@ fn live_partition_swap_never_drops_or_double_serves_a_key() {
     let engine = ServingEngine::new(&random, EngineConfig::default()).unwrap();
     let queries: Vec<u32> = graph.queries().collect();
     let stop = AtomicBool::new(false);
+    // Set after the last install; clients count themselves once they have completed a
+    // multiget begun after it, so every client serves at least one swapped placement.
+    let installed = AtomicBool::new(false);
+    let caught_up = AtomicUsize::new(0);
+    const CLIENTS: usize = 4;
 
     std::thread::scope(|scope| {
         let engine = &engine;
         let graph = &graph;
-        let stop = &stop;
+        let (stop, installed, caught_up) = (&stop, &installed, &caught_up);
         let queries = &queries;
         // Four clients hammer multigets and verify exact coverage on every answer.
-        for offset in 0..4usize {
-            scope.spawn(move || {
-                let mut i = offset;
-                while !stop.load(Ordering::Relaxed) {
-                    let q = queries[i % queries.len()];
-                    let keys = graph.query_neighbors(q);
-                    let result = engine.multiget(keys).expect("multiget failed mid-swap");
-                    let mut expected: Vec<u32> = keys.to_vec();
-                    expected.sort_unstable();
-                    expected.dedup();
-                    let got: Vec<u32> = result.values.iter().map(|&(k, _)| k).collect();
-                    assert_eq!(
-                        got, expected,
-                        "a key was dropped or double-served during a swap"
-                    );
-                    for &(k, v) in &result.values {
-                        assert_eq!(v, value_of(k), "wrong record served during a swap");
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|offset| {
+                scope.spawn(move || {
+                    let mut i = offset;
+                    let mut counted = false;
+                    while !stop.load(Ordering::Relaxed) {
+                        let after_installs = installed.load(Ordering::Acquire);
+                        let q = queries[i % queries.len()];
+                        let keys = graph.query_neighbors(q);
+                        let result = engine.multiget(keys).expect("multiget failed mid-swap");
+                        let mut expected: Vec<u32> = keys.to_vec();
+                        expected.sort_unstable();
+                        expected.dedup();
+                        let got: Vec<u32> = result.values.iter().map(|&(k, _)| k).collect();
+                        assert_eq!(
+                            got, expected,
+                            "a key was dropped or double-served during a swap"
+                        );
+                        for &(k, v) in &result.values {
+                            assert_eq!(v, value_of(k), "wrong record served during a swap");
+                        }
+                        if after_installs && !counted {
+                            counted = true;
+                            caught_up.fetch_add(1, Ordering::Release);
+                        }
+                        i += CLIENTS;
                     }
-                    i += 4;
-                }
-            });
-        }
+                })
+            })
+            .collect();
         // The swapper repeatedly flips between the two placements under full load.
         for swap in 0..60 {
             let epoch = engine
                 .install_partition(if swap % 2 == 0 { &shp } else { &random })
                 .expect("install failed");
             assert_eq!(epoch, swap + 1);
+        }
+        installed.store(true, Ordering::Release);
+        // A client that panicked never catches up; stop waiting so the scope re-raises it.
+        while caught_up.load(Ordering::Acquire) < CLIENTS
+            && clients.iter().all(|c| !c.is_finished())
+        {
+            std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
     });
