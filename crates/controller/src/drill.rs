@@ -234,7 +234,7 @@ fn validate(config: &DrillConfig) -> ShpResult<()> {
 }
 
 /// Fills `keys` with `keys_per_query` distinct members of one community.
-fn sample_query(config: &DrillConfig, rng: &mut Pcg64, keys: &mut [u32]) {
+fn draw_query_keys(config: &DrillConfig, rng: &mut Pcg64, keys: &mut [u32]) {
     let community = rng.gen_range(0..config.communities);
     let stride = config.community_size / config.keys_per_query as u32;
     let offset = rng.gen_range(0..config.community_size);
@@ -314,7 +314,7 @@ fn run_drill(config: &DrillConfig) -> ShpResult<(DrillReport, Snapshot)> {
     {
         engine.reset_metrics();
         for query in 0..config.queries_per_phase {
-            sample_query(config, &mut rng, &mut keys);
+            draw_query_keys(config, &mut rng, &mut keys);
             let result = engine.multiget(&keys).map_err(ShpError::from)?;
             for &(key, value) in &result.values {
                 if value != value_of(key) {
@@ -383,7 +383,7 @@ fn run_drill(config: &DrillConfig) -> ShpResult<(DrillReport, Snapshot)> {
     let mut leg_rng = Pcg64::seed_from_u64(config.seed ^ 0xDE6);
     let mut missing_mismatches = 0usize;
     for _ in 0..config.queries_per_phase {
-        sample_query(config, &mut leg_rng, &mut keys);
+        draw_query_keys(config, &mut leg_rng, &mut keys);
         let result = leg.multiget(&keys).map_err(ShpError::from)?;
         if !result.missing_keys.is_empty() {
             missing_mismatches += 1; // Nothing is down yet; any miss is a mismatch.
@@ -391,7 +391,7 @@ fn run_drill(config: &DrillConfig) -> ShpResult<(DrillReport, Snapshot)> {
     }
     leg.reset_metrics();
     for _ in 0..config.queries_per_phase {
-        sample_query(config, &mut leg_rng, &mut keys);
+        draw_query_keys(config, &mut leg_rng, &mut keys);
         let mut expected: Vec<u32> = keys
             .iter()
             .copied()

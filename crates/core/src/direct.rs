@@ -27,7 +27,7 @@ pub fn partition_direct(graph: &BipartiteGraph, config: &ShpConfig) -> ShpResult
     let start = Instant::now();
     let mut rng = Pcg64::seed_from_u64(config.seed);
     let mut partition = Partition::new_random(graph, config.num_buckets, &mut rng)?;
-    let history = refine_in_place(graph, config, &mut partition, None);
+    let history = refine_in_place(graph, config, &mut partition);
     let elapsed = start.elapsed();
 
     let report = RunReport {
@@ -41,14 +41,13 @@ pub fn partition_direct(graph: &BipartiteGraph, config: &ShpConfig) -> ShpResult
     Ok(PartitionResult { partition, report })
 }
 
-/// Runs direct k-way refinement starting from an existing partition (used by the incremental
-/// update path and by tests). `max_iterations_override` replaces the configured limit when
-/// given.
+/// Runs direct k-way refinement on all `config.num_buckets` buckets of an existing partition
+/// for at most `config.max_iterations` iterations; [`partition_direct`] calls it on its random
+/// initial partition.
 pub fn refine_in_place(
     graph: &BipartiteGraph,
     config: &ShpConfig,
     partition: &mut Partition,
-    max_iterations_override: Option<usize>,
 ) -> Vec<crate::refinement::IterationStats> {
     let objective = Objective::from_kind(config.objective);
     let constraint = TargetConstraint::all(config.num_buckets);
@@ -64,11 +63,10 @@ pub fn refine_in_place(
     )
     .with_workers(config.workers);
     let mut nd = NeighborData::build_with_workers(graph, partition, config.workers);
-    let max_iterations = max_iterations_override.unwrap_or(config.max_iterations);
     refiner.run(
         partition,
         &mut nd,
-        max_iterations,
+        config.max_iterations,
         config.convergence_threshold,
     )
 }

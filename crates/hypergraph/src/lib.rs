@@ -13,7 +13,6 @@
 //!
 //! * [`BipartiteGraph`] — a compressed sparse row (CSR) representation with adjacency in both
 //!   directions (query → data and data → query), built through [`GraphBuilder`].
-//! * [`Hypergraph`] — a thin hyperedge-centric view over the same storage.
 //! * [`Partition`] — an assignment of data vertices to buckets with balance bookkeeping.
 //! * [`metrics`] — fanout, probabilistic fanout, hyperedge cut, sum of external degrees,
 //!   weighted edge cut of the clique-net graph, and imbalance.
@@ -30,7 +29,6 @@ pub mod bipartite;
 pub mod builder;
 pub mod clique;
 pub mod error;
-pub mod hypergraph;
 pub mod io;
 pub mod metrics;
 pub mod partition;
@@ -44,7 +42,6 @@ pub use bipartite::{BipartiteGraph, DataId, QueryId};
 pub use builder::{BuildKernel, GraphBuilder};
 pub use clique::CliqueNetGraph;
 pub use error::{GraphError, Result};
-pub use hypergraph::Hypergraph;
 pub use metrics::{
     average_fanout, average_p_fanout, hyperedge_cut, imbalance, max_fanout, sum_external_degrees,
     weighted_edge_cut, FanoutHistogram,

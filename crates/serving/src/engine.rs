@@ -1,4 +1,4 @@
-//! The serving engine: cache → route → scatter → gather under a swappable placement.
+//! The serving engine: cache → route → execute under a swappable placement.
 //!
 //! [`ServingEngine`] owns one [`EpochSwap`] cell holding the current [`Generation`] — an
 //! immutable pair of placement snapshot and the shard set built from it. Every multiget loads
@@ -223,20 +223,6 @@ impl ServingEngine {
     /// # Errors
     /// Returns [`ServingError::KeyOutOfRange`] when a key is outside the key universe.
     pub fn multiget(&self, keys: &[DataId]) -> Result<MultigetResult> {
-        self.multiget_impl(keys, false)
-    }
-
-    /// Like [`ServingEngine::multiget`] but scattering the per-shard batches over real scoped
-    /// threads — the literal parallel fan-out a storage tier performs. Prefer `multiget` for
-    /// throughput runs (concurrency across queries amortizes better than per-query spawns).
-    ///
-    /// # Errors
-    /// Same contract as [`ServingEngine::multiget`].
-    pub fn multiget_scatter_gather(&self, keys: &[DataId]) -> Result<MultigetResult> {
-        self.multiget_impl(keys, true)
-    }
-
-    fn multiget_impl(&self, keys: &[DataId], scatter: bool) -> Result<MultigetResult> {
         let generation = self.generation.load();
         let epoch = generation.snapshot.epoch();
 
@@ -298,14 +284,9 @@ impl ServingEngine {
         let mut hedges_won = 0u64;
         if !plan.batches.is_empty() {
             let _service = self.service_timer.start();
-            let faults = self.faults.as_deref();
-            let fetched = if scatter {
-                generation
-                    .shards
-                    .execute_scatter_gather_with_faults(&plan, faults)?
-            } else {
-                generation.shards.execute_with_faults(&plan, faults)?
-            };
+            let fetched = generation
+                .shards
+                .execute_with_faults(&plan, self.faults.as_deref())?;
             latency = latency.max(fetched.latency);
             if self.config.cache_capacity > 0 {
                 for &(key, value) in &fetched.values {
@@ -774,17 +755,33 @@ mod tests {
         assert!(cached.multiget(&[99]).is_err());
     }
 
+    /// Figure 4a on the serving path: a multiget contacting `f` distinct shards is charged the
+    /// maximum of `f` service times, so its mean latency rises with `f`.
     #[test]
-    fn scatter_gather_agrees_with_inline_execution() {
+    fn mean_multiget_latency_rises_with_fanout() {
         let graph = community_graph(4, 8);
+        // Key `v` lives on shard `v % 4`, so keys `0..f` contact exactly `f` shards.
         let engine =
             ServingEngine::new(&scattered_partition(&graph, 4, 8), EngineConfig::default())
                 .unwrap();
-        let keys: Vec<u32> = (0..32).collect();
-        let inline = engine.multiget(&keys).unwrap();
-        let scattered = engine.multiget_scatter_gather(&keys).unwrap();
-        assert_eq!(inline.values, scattered.values);
-        assert_eq!(inline.fanout, scattered.fanout);
+        let samples = 3_000;
+        let means: Vec<f64> = (1..=4u32)
+            .map(|f| {
+                let keys: Vec<u32> = (0..f).collect();
+                let total: f64 = (0..samples)
+                    .map(|_| {
+                        let result = engine.multiget(&keys).unwrap();
+                        assert_eq!(result.fanout, f);
+                        result.latency
+                    })
+                    .sum();
+                total / samples as f64
+            })
+            .collect();
+        for w in means.windows(2) {
+            assert!(w[1] > w[0], "latency should rise with fanout: {means:?}");
+        }
+        assert!(means[3] > means[0] * 1.2, "{means:?}");
     }
 
     #[test]

@@ -38,6 +38,12 @@
 //!   [`install_partition`](ServingEngine::install_partition) live-swap entry point;
 //!   [`workload`] generates skewed open-loop arrival schedules to drive it.
 //!
+//! There is one way to serve a multiget: [`ServingEngine::multiget`] →
+//! [`ShardRouter::route`] → [`ShardSet::execute`], or [`ShardSet::execute_with_faults`] when a
+//! fault injector is attached. The shard set serves a plan's batches in the calling thread;
+//! concurrency comes from many clients calling the engine at once. Every workload runs on
+//! this path, including the Figure 4 replay (`shp-bench`'s `fig4_latency`).
+//!
 //! ## Quickstart
 //!
 //! ```

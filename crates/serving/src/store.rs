@@ -4,7 +4,9 @@
 //! for every installed partition and swapped together with its [`PartitionSnapshot`]), so key
 //! lookups are lock-free; only the per-shard latency RNG sits behind a mutex. Per-request
 //! service time comes from `shp-sharding-sim`'s [`LatencyModel`], and a query's latency is the
-//! **maximum** over its parallel per-shard requests — the tail-at-scale dependency of Figure 4.
+//! **maximum** over its per-shard requests, which are modeled as parallel — the tail-at-scale
+//! dependency of Figure 4. The batches themselves are served one after another in the calling
+//! thread ([`ShardSet::execute`]); concurrency comes from many clients serving at once.
 //!
 //! ## Replication and failover
 //!
@@ -307,9 +309,10 @@ impl ShardSet {
         &self.model
     }
 
-    /// Executes a routed multiget, one batch per contacted shard, sequentially in the calling
-    /// thread. The recorded latency is still the *parallel* semantics (max over batches);
-    /// engine-level concurrency comes from many client threads calling this simultaneously.
+    /// Executes a routed multiget, one batch per contacted shard, in the calling thread. The
+    /// batches are modeled as parallel requests: the query is charged the maximum of their
+    /// service times (Figure 4's semantics). Concurrency comes from many client threads
+    /// calling this at once, not from threads per query.
     ///
     /// # Errors
     /// Returns [`ServingError::MissingKey`] if a batch references a key its shard does not
@@ -326,47 +329,6 @@ impl ShardSet {
                     shard: batch.shard,
                 })?;
             let t = shard.serve(batch.shard, &batch.keys, &self.model, &mut values)?;
-            latency = latency.max(t);
-        }
-        Ok(BatchResults {
-            values,
-            latency,
-            missing: Vec::new(),
-            retries: 0,
-            hedges_won: 0,
-        })
-    }
-
-    /// Executes a routed multiget with one scoped thread per contacted shard — the literal
-    /// scatter-gather a real storage tier performs, dispatched through the rayon shim's pool
-    /// (one coarse work unit per batch, results gathered in batch order so the value list is
-    /// identical to [`ShardSet::execute`]'s). Useful for demonstrations and tests; for
-    /// high-throughput replay prefer [`ShardSet::execute`] under concurrent clients, which
-    /// avoids per-query thread spawns.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardSet::execute`].
-    pub fn execute_scatter_gather(&self, plan: &RoutePlan) -> Result<BatchResults> {
-        type BatchOutcome = Result<(Vec<(DataId, u64)>, f64)>;
-        let batches: Vec<&crate::router::ShardBatch> = plan.batches.iter().collect();
-        let fanout = batches.len();
-        let results: Vec<BatchOutcome> = rayon::pool::map_vec(batches, fanout, |_, batch| {
-            let shard = self
-                .shards
-                .get(batch.shard as usize)
-                .ok_or(ServingError::MissingKey {
-                    key: batch.keys[0],
-                    shard: batch.shard,
-                })?;
-            let mut out = Vec::with_capacity(batch.keys.len());
-            let t = shard.serve(batch.shard, &batch.keys, &self.model, &mut out)?;
-            Ok((out, t))
-        });
-        let mut values = Vec::with_capacity(plan.num_keys());
-        let mut latency = 0.0f64;
-        for result in results {
-            let (mut out, t) = result?;
-            values.append(&mut out);
             latency = latency.max(t);
         }
         Ok(BatchResults {
@@ -500,62 +462,6 @@ impl ShardSet {
             hedges_won,
         })
     }
-
-    /// [`ShardSet::execute_scatter_gather`] with optional fault injection; see
-    /// [`ShardSet::execute_with_faults`] for the failover semantics. Failover attempts from
-    /// concurrent batches may interleave on replica RNG streams, so latency determinism under
-    /// active faults is only guaranteed for the sequential path; coverage and values are
-    /// deterministic on both.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardSet::execute_with_faults`].
-    pub fn execute_scatter_gather_with_faults(
-        &self,
-        plan: &RoutePlan,
-        faults: Option<&FaultInjector>,
-    ) -> Result<BatchResults> {
-        let Some(inj) = faults else {
-            return self.execute_scatter_gather(plan);
-        };
-        let tick = inj.begin_query();
-        type FaultOutcome = Result<(Vec<(DataId, u64)>, BatchServe)>;
-        let batches: Vec<&ShardBatch> = plan.batches.iter().collect();
-        let fanout = batches.len();
-        let results: Vec<FaultOutcome> = rayon::pool::map_vec(batches, fanout, |_, batch| {
-            if batch.shard as usize >= self.shards.len() {
-                return Err(ServingError::MissingKey {
-                    key: batch.keys[0],
-                    shard: batch.shard,
-                });
-            }
-            let mut out = Vec::with_capacity(batch.keys.len());
-            let outcome = self.serve_batch_failover(batch, inj, tick, &mut out)?;
-            Ok((out, outcome))
-        });
-        let mut values = Vec::with_capacity(plan.num_keys());
-        let mut missing: Vec<DataId> = Vec::new();
-        let mut latency = 0.0f64;
-        let mut retries = 0u64;
-        let mut hedges_won = 0u64;
-        for (batch, result) in plan.batches.iter().zip(results) {
-            let (mut out, outcome) = result?;
-            values.append(&mut out);
-            retries += outcome.retries;
-            hedges_won += outcome.hedges_won;
-            latency = latency.max(outcome.latency);
-            if !outcome.served {
-                missing.extend_from_slice(&batch.keys);
-            }
-        }
-        missing.sort_unstable();
-        Ok(BatchResults {
-            values,
-            latency,
-            missing,
-            retries,
-            hedges_won,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -599,19 +505,6 @@ mod tests {
             assert_eq!(v, value_of(k));
         }
         assert!(results.latency > 0.0);
-    }
-
-    #[test]
-    fn scatter_gather_matches_sequential_coverage() {
-        let snap = snapshot(4, (0..64).map(|v| v % 4).collect());
-        let set = ShardSet::build(&snap, LatencyModel::default(), 3);
-        let keys: Vec<u32> = (0..64).collect();
-        let plan = ShardRouter::new().route(&snap, &keys).unwrap();
-        let results = set.execute_scatter_gather(&plan).unwrap();
-        assert_eq!(results.values.len(), 64);
-        let mut seen: Vec<u32> = results.values.iter().map(|&(k, _)| k).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, keys);
     }
 
     #[test]
@@ -791,29 +684,6 @@ mod tests {
         assert_eq!(results.values, vec![(0, value_of(0))]);
         // Winner latency = hedge delay + replica time, far below the 1000x slow primary.
         assert!(results.latency < 100.0);
-    }
-
-    #[test]
-    fn scatter_gather_with_faults_matches_sequential_coverage() {
-        use shp_faults::{FaultInjector, FaultPlan};
-        let snap = snapshot(4, (0..64).map(|v| v % 4).collect());
-        let set = ShardSet::build_replicated(&snap, LatencyModel::default(), 3, 2);
-        let seq_inj = FaultInjector::new(FaultPlan::new().crash(1, 0), 7);
-        let par_inj = FaultInjector::new(FaultPlan::new().crash(1, 0), 7);
-        let keys: Vec<u32> = (0..64).collect();
-        let plan = ShardRouter::new().route(&snap, &keys).unwrap();
-        let seq = set.execute_with_faults(&plan, Some(&seq_inj)).unwrap();
-        let par = set
-            .execute_scatter_gather_with_faults(&plan, Some(&par_inj))
-            .unwrap();
-        assert_eq!(seq.missing, par.missing);
-        assert_eq!(seq.retries, par.retries);
-        let sort = |r: &BatchResults| {
-            let mut v = r.values.clone();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(sort(&seq), sort(&par));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// Requests are modeled as a log-normal body with an occasional slow outlier (queueing,
 /// GC pause, packet loss); the parameters are normalized so that the mean of a single request
 /// is `mean_t` (the paper reports latencies in units of `t`, the average latency of a single
-/// call). The maximum of `f` independent draws grows with `f`, which is exactly the
-/// fanout-latency dependency of Figure 4.
+/// call). A multiget contacting `f` shards is charged the maximum of `f` independent draws,
+/// which grows with `f`: exactly the fanout-latency dependency of Figure 4.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
     /// Mean latency of a single request (the unit `t` of Figure 4).
@@ -50,16 +50,6 @@ impl LatencyModel {
             latency *= self.outlier_multiplier;
         }
         latency + self.per_record_cost * records as f64
-    }
-
-    /// Samples the latency of a multi-get query contacting `fanout` servers in parallel, with
-    /// `records_per_server[i]` records fetched from server `i`: the maximum over the parallel
-    /// requests.
-    pub fn sample_query<R: Rng>(&self, rng: &mut R, records_per_server: &[usize]) -> f64 {
-        records_per_server
-            .iter()
-            .map(|&r| self.sample_request(rng, r))
-            .fold(0.0, f64::max)
     }
 }
 
@@ -124,6 +114,15 @@ mod tests {
     use rand::SeedableRng;
     use rand_pcg::Pcg64;
 
+    /// Latency of parallel requests for `records_per_server[i]` records each: the maximum
+    /// over the requests, as the serving tier charges a multiget.
+    fn sample_parallel(model: &LatencyModel, rng: &mut Pcg64, records_per_server: &[usize]) -> f64 {
+        records_per_server
+            .iter()
+            .map(|&r| model.sample_request(rng, r))
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn single_request_mean_is_close_to_t() {
         let model = LatencyModel {
@@ -146,7 +145,7 @@ mod tests {
         let mean_for = |fanout: usize, rng: &mut Pcg64| {
             let records = vec![1usize; fanout];
             (0..5_000)
-                .map(|_| model.sample_query(rng, &records))
+                .map(|_| sample_parallel(&model, rng, &records))
                 .sum::<f64>()
                 / 5_000.0
         };
@@ -172,11 +171,11 @@ mod tests {
         };
         let mut rng = Pcg64::seed_from_u64(3);
         let even: f64 = (0..5_000)
-            .map(|_| model.sample_query(&mut rng, &[50, 50]))
+            .map(|_| sample_parallel(&model, &mut rng, &[50, 50]))
             .sum::<f64>()
             / 5_000.0;
         let skewed: f64 = (0..5_000)
-            .map(|_| model.sample_query(&mut rng, &[99, 1]))
+            .map(|_| sample_parallel(&model, &mut rng, &[99, 1]))
             .sum::<f64>()
             / 5_000.0;
         assert!(skewed > even, "skewed {skewed} should exceed even {even}");

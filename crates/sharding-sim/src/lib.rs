@@ -1,24 +1,23 @@
 //! # shp-sharding-sim
 //!
-//! A storage-sharding simulator used to reproduce the fanout-vs-latency experiments of
-//! Section 4.2.1 of the SHP paper (Figure 4a/4b).
+//! The per-request latency model behind the fanout-vs-latency experiments of Section 4.2.1 of
+//! the SHP paper (Figure 4a/4b).
 //!
 //! The paper's argument for fanout as the sharding objective: a multi-get query issues its
 //! per-server requests in parallel, so its latency is the *maximum* of the individual request
 //! latencies; the more servers are contacted (the higher the fanout), the higher the chance of
-//! hitting a slow request ("the tail at scale"). The simulator models exactly that mechanism:
+//! hitting a slow request ("the tail at scale").
 //!
 //! * [`latency`] — a heavy-tailed per-request latency distribution normalized so that a single
 //!   request has mean latency `t`, plus percentile bookkeeping.
-//! * [`cluster`] — a cluster of key-value shards holding the data vertices of a bipartite
-//!   graph according to a [`shp_hypergraph::Partition`]; queries are replayed against it and
-//!   their fanout and latency recorded.
+//!
+//! The multiget itself is served by `shp-serving`: its shards sample each batch's service
+//! time from a [`LatencyModel`] and charge the query the maximum over its batches. Figure 4 is
+//! replayed on that engine (the `fig4_latency` binary of `shp-bench`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod latency;
 
-pub use cluster::{QueryObservation, ReplayReport, ShardedCluster};
 pub use latency::{LatencyModel, LatencySummary};

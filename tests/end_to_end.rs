@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: the full pipeline from generated workload through
-//! partitioning to sharded replay, exercising the public API exactly like a downstream user.
+//! partitioning to replay on the serving engine, exercising the public API exactly like a
+//! downstream user.
 
 use shp::baselines::RandomPartitioner;
 use shp::core::{
@@ -8,7 +9,6 @@ use shp::core::{
 };
 use shp::datagen::{planted_partition, social_graph, Dataset, PlantedConfig, SocialGraphConfig};
 use shp::hypergraph::{average_fanout, average_p_fanout, io, GraphStats};
-use shp::sharding_sim::{LatencyModel, ShardedCluster};
 
 fn workload(users: usize, seed: u64) -> shp::hypergraph::BipartiteGraph {
     social_graph(&SocialGraphConfig {
@@ -114,16 +114,35 @@ fn sharding_pipeline_reduces_latency_versus_random() {
     .partition;
     let random = RandomPartitioner::new(11).partition_into(&graph, servers, 0.05);
 
-    let model = LatencyModel::default();
-    let shp_report = ShardedCluster::from_partition(&shp, model.clone()).replay(&graph, 1, 11);
-    let random_report = ShardedCluster::from_partition(&random, model).replay(&graph, 1, 11);
+    // Serve every non-empty query once as a multiget; return (mean fanout, mean latency).
+    let replay = |partition| {
+        let engine =
+            shp::serving::ServingEngine::new(partition, shp::serving::EngineConfig::default())
+                .unwrap();
+        let (mut fanout, mut latency, mut served) = (0.0, 0.0, 0usize);
+        for q in graph.queries() {
+            let keys = graph.query_neighbors(q);
+            if keys.is_empty() {
+                continue;
+            }
+            let result = engine.multiget(keys).unwrap();
+            fanout += f64::from(result.fanout);
+            latency += result.latency;
+            served += 1;
+        }
+        assert!(served > 0);
+        (fanout / served as f64, latency / served as f64)
+    };
+    let (shp_fanout, shp_latency) = replay(&shp);
+    let (random_fanout, random_latency) = replay(&random);
 
-    assert!(shp_report.average_fanout < random_report.average_fanout * 0.7);
     assert!(
-        shp_report.overall.mean < random_report.overall.mean,
-        "SHP mean latency {} should be below random {}",
-        shp_report.overall.mean,
-        random_report.overall.mean
+        shp_fanout < random_fanout * 0.7,
+        "SHP fanout {shp_fanout} should be well below random {random_fanout}"
+    );
+    assert!(
+        shp_latency < random_latency,
+        "SHP mean latency {shp_latency} should be below random {random_latency}"
     );
 }
 

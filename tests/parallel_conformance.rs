@@ -450,8 +450,8 @@ fn thread_pool_survives_panicking_tasks_without_deadlocking() {
     }
 }
 
-/// Same guarantee for the coarse-unit scheduler used by the BSP engine and the serving
-/// scatter-gather path.
+/// Same guarantee for the coarse-unit scheduler used by the BSP engine and the chunked
+/// graph readers.
 #[test]
 fn map_vec_propagates_panics_and_recovers() {
     let caught = std::panic::catch_unwind(|| {
