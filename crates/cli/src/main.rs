@@ -7,17 +7,16 @@
 //!   `--stream` (power-law datasets, `.shpb` output) the
 //!   graph is streamed to the container in bounded memory without ever being materialized.
 //! * `algorithms` — list every partitioning algorithm registered in the workspace registry.
-//! * `convert <input> <output> [--from <fmt>] [--to <fmt>] [--workers <n>]` — convert a
-//!   graph between the edge-list, hMetis, and `.shpb` compact binary formats, with format
-//!   autodetection by extension and contents (`shp convert --help` spells out the rules).
-//! * `partition <input> <k> <output.part> [--mode <algorithm>] [--p <p>] [--epsilon <eps>]
-//!   [--seed <seed>] [--iterations <n>] [--workers <n>] [--json]` — partition a graph file
+//! * `convert <input> <output>` — convert a graph between the edge-list, hMetis, and `.shpb`
+//!   compact binary formats, with format autodetection by extension and contents (`shp
+//!   convert --help` spells out the rules).
+//! * `partition <input> <k> <output.part>` — partition a graph file
 //!   (any supported format, autodetected — a `.shpb` input skips parsing entirely) with
 //!   **any registered algorithm** (SHP or baseline) and write the bucket of every vertex;
 //!   `--json` emits the full `PartitionOutcome`. `--workers` sets the number of real threads
 //!   driving both the text parse and the refinement hot paths — the output is bit-identical
 //!   for every worker count (see the determinism contract in `shp-core`), only the
-//!   wall-clock time changes.
+//!   wall-clock time changes. The partition file is replaced atomically.
 //! * `evaluate <input> <partition.part> <k> [--json]` — report fanout, p-fanout, hyperedge
 //!   cut, and imbalance of an existing partition (any graph format).
 //! * `replay [options]` — drive a synthetic open-loop multiget workload through the
@@ -45,11 +44,20 @@
 //! * `metrics <snapshot.json> [--prometheus]` — pretty-print a telemetry snapshot written by
 //!   `--metrics`, or re-emit it in Prometheus text exposition format.
 //!
-//! `partition`, `replay`, and `serve` accept `--metrics <file>`: the run's telemetry —
+//! `partition`, `replay`, `serve` and `drill` accept `--metrics <file>`: the run's telemetry —
 //! counters, phase spans, latency/fanout histograms, and hot keys from `shp-telemetry` — is
 //! exported as a JSON snapshot (or Prometheus text when the path ends in `.prom`). `replay`
 //! and `serve` rewrite the file roughly once a second while the workload runs, so a live run
 //! can be scraped mid-flight; the final write supersedes every periodic one.
+//!
+//! Every subcommand reads its argv through one flag table (a [`Spec`]): its positionals, its
+//! valued flags and its switches. `shp <subcommand> --help` (or `-h`) prints the synopsis
+//! rendered from that table and exits 0, and the `usage:` text lists the same synopses, so no
+//! flag can be parsed but undocumented. Parsing is pure — it reads no file and starts no
+//! workload — and its errors are typed [`ShpError::InvalidArgument`]s with one wording each:
+//! an unknown option, a flag missing its value, a flag given twice, a wrong number of
+//! positionals, an unparsable or out-of-range value. Such an argument error exits with code
+//! 2; a runtime or gate failure exits with code 1.
 //!
 //! Every failure path is a typed [`ShpError`]; `?` composes from file parsing through
 //! partitioning to the serving engine without a single stringly-typed error.
@@ -69,34 +77,32 @@ use shp_hypergraph::io::GraphFormat;
 use shp_hypergraph::{
     average_fanout, average_p_fanout, hyperedge_cut, io, BipartiteGraph, GraphStats,
 };
-use shp_serving::{open_loop_schedule, EngineConfig, ServingEngine, WorkloadConfig, WorkloadEvent};
+use shp_serving::{
+    open_loop_schedule, EngineConfig, ServingEngine, ServingReport, WorkloadConfig, WorkloadEvent,
+};
 use shp_telemetry::export::write_atomically;
 use shp_telemetry::json::Json;
 use shp_telemetry::Snapshot;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("algorithms") => cmd_algorithms(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("partition") => cmd_partition(&args[1..]),
-        Some("evaluate") => cmd_evaluate(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("controller") => cmd_controller(&args[1..]),
-        Some("drill") => cmd_drill(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
+    let command = match parse_command(&args) {
+        Ok(command) => command,
+        Err(error) => {
+            let usage = match args.first().and_then(|name| find_spec(name)) {
+                Some(spec) => format!("usage:\n{}", spec.synopsis()),
+                None => usage(),
+            };
+            eprintln!("error: {error}\n{usage}");
             return ExitCode::from(2);
         }
     };
-    match result {
+    match command() {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("error: {error}");
@@ -105,34 +111,106 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  shp generate <dataset> <scale> <output>
-  shp generate <dataset> <scale> <output.shpb> --stream
-  shp algorithms
-  shp convert <input> <output> [--from <format>] [--to <format>] [--workers <n>]
-  shp partition <input> <k> <output.part> [--mode <algorithm>] [--p <p>] [--epsilon <eps>]
-                [--seed <seed>] [--iterations <n>] [--workers <n>] [--metrics <file>]
-                [--json] [--mmap]
-  shp evaluate <input> <partition.part> <k> [--json]
-  shp replay [--dataset <name> | --graph <file>] [--scale <s>] [--shards <k>] [--rate <r>]
-             [--duration <d>] [--clients <n>] [--cache <capacity>] [--seed <seed>]
-             [--workers <n>] [--metrics <file>] [--mmap]
-  shp serve  [--dataset <name> | --graph <file>] [--partition <file>] [--scale <s>]
-             [--shards <k>] [--rate <r>] [--duration <d>] [--clients <n>]
-             [--cache <capacity>] [--seed <seed>] [--workers <n>] [--metrics <file>]
-             [--repartition-every <n>] [--migration-budget <m>] [--mmap]
-  shp controller [--quick] [--phases <n>] [--every <n>] [--budget <m>] [--seed <seed>]
-             [--json]
-  shp drill  [--quick] [--budget <m>] [--replication <r>] [--seed <seed>] [--json]
-             [--metrics <file>]
-  shp metrics <snapshot.json> [--prometheus]
+/// One subcommand's flag table. `"--name <value>"` is a flag that takes a value and a bare
+/// `"--name"` is a switch; [`parse`] reads argv through the table, and `--help` and [`usage`]
+/// render their synopses from it.
+struct Spec {
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [&'static str],
+    /// Types and range-checks the parsed argv into the [`Command`] that runs it.
+    build: fn(&Parsed) -> ShpResult<Command>,
+    /// Printed under the synopsis by `--help` (from its own blank line on).
+    help: &'static str,
+}
 
+#[rustfmt::skip]
+const SPECS: &[Spec] = &[
+    Spec { name: "generate", positionals: &["<dataset>", "<scale>", "<output>"],
+        flags: &["--stream"], build: cmd_generate, help: "" },
+    Spec { name: "algorithms", positionals: &[], flags: &[], build: cmd_algorithms, help: "" },
+    Spec { name: "convert", positionals: &["<input>", "<output>"],
+        flags: &["--from <format>", "--to <format>", "--workers <n>"],
+        build: cmd_convert, help: CONVERT_HELP },
+    Spec { name: "partition", positionals: &["<input>", "<k>", "<output.part>"],
+        flags: &["--mode <algorithm>", "--p <p>", "--epsilon <eps>", "--seed <seed>",
+            "--iterations <n>", "--workers <n>", "--metrics <file>", "--json", "--mmap"],
+        build: cmd_partition, help: "" },
+    Spec { name: "evaluate", positionals: &["<input>", "<partition.part>", "<k>"],
+        flags: &["--json"], build: cmd_evaluate, help: "" },
+    Spec { name: "replay", positionals: &[],
+        flags: &["--dataset <name>", "--graph <file>", "--scale <s>", "--shards <k>",
+            "--rate <r>", "--duration <d>", "--clients <n>", "--cache <capacity>",
+            "--seed <seed>", "--workers <n>", "--metrics <file>", "--mmap"],
+        build: cmd_replay, help: "" },
+    Spec { name: "serve", positionals: &[],
+        flags: &["--dataset <name>", "--graph <file>", "--partition <file>", "--scale <s>",
+            "--shards <k>", "--rate <r>", "--duration <d>", "--clients <n>",
+            "--cache <capacity>", "--seed <seed>", "--workers <n>", "--metrics <file>",
+            "--repartition-every <n>", "--migration-budget <m>", "--mmap"],
+        build: cmd_serve, help: "" },
+    Spec { name: "controller", positionals: &[],
+        flags: &["--quick", "--phases <n>", "--every <n>", "--budget <m>", "--seed <seed>",
+            "--json"],
+        build: cmd_controller, help: "" },
+    Spec { name: "drill", positionals: &[],
+        flags: &["--quick", "--budget <m>", "--replication <r>", "--seed <seed>", "--json",
+            "--metrics <file>"],
+        build: cmd_drill, help: "" },
+    Spec { name: "metrics", positionals: &["<snapshot.json>"], flags: &["--prometheus"],
+        build: cmd_metrics, help: "" },
+];
+
+/// Synopses wrap at this many columns, continuation lines aligned under the first argument.
+const SYNOPSIS_WIDTH: usize = 92;
+
+impl Spec {
+    /// `  shp <name> <positionals> [flags]`, indented to sit under a `usage:` line.
+    fn synopsis(&self) -> String {
+        let head = format!("  shp {}", self.name);
+        let flags = self.flags.iter().map(|flag| format!("[{flag}]"));
+        let mut line = head.len();
+        let mut out = head;
+        for word in self.positionals.iter().map(|p| p.to_string()).chain(flags) {
+            if line + 1 + word.len() > SYNOPSIS_WIDTH {
+                out.push('\n');
+                out.push_str(&" ".repeat(self.name.len() + 6));
+                line = self.name.len() + 6;
+            }
+            out.push(' ');
+            out.push_str(&word);
+            line += 1 + word.len();
+        }
+        out
+    }
+
+    /// The table index of flag `name` (`--seed` matches the entry `"--seed <seed>"`).
+    fn flag_index(&self, name: &str) -> Option<usize> {
+        let flag = |entry: &&str| entry.split_once(' ').map_or(*entry, |(flag, _)| flag) == name;
+        self.flags.iter().position(flag)
+    }
+}
+
+fn find_spec(name: &str) -> Option<&'static Spec> {
+    SPECS.iter().find(|spec| spec.name == name)
+}
+
+/// The top-level usage text: every subcommand's synopsis, then notes on the shared options.
+fn usage() -> String {
+    let synopses: Vec<String> = SPECS.iter().map(Spec::synopsis).collect();
+    format!("usage:\n{}\n\n{USAGE_NOTES}", synopses.join("\n"))
+}
+
+const USAGE_NOTES: &str = "\
+`shp <subcommand> --help` prints one subcommand's synopsis. A flag may be given once; an
+argument error exits with code 2, a runtime or gate failure with code 1.
 `shp algorithms` lists the names accepted by --mode. Graph inputs may be edge-list, hMetis,
 or .shpb binary files (autodetected; see `shp convert --help`).
 `shp generate` picks the output format from the extension (hMetis when it names none);
 `shp generate --stream` writes a power-law dataset straight to a .shpb container in bounded
 memory (byte-identical to materializing, but the graph never exists in RAM); --mmap serves
 partition/replay/serve from a memory-mapped .shpb instead of loading it onto the heap.
+`replay` and `serve` serve a generated --dataset unless --graph names a file.
 --metrics exports the run's telemetry snapshot: JSON by default, Prometheus text exposition
 format when the path ends in .prom; `shp metrics <file>` pretty-prints a JSON snapshot.
 --repartition-every closes the serve->observe->repartition loop online: one controller epoch
@@ -143,8 +221,7 @@ through a scripted shard crash (failover keeps availability >= 99%), an unreplic
 degrades to typed partial results, and the controller drains the dead shard within budget.
 datasets: email-Enron soc-Epinions web-Stanford web-BerkStan soc-Pokec soc-LJ FB-10M FB-50M FB-2B FB-5B FB-10B";
 
-const CONVERT_HELP: &str =
-    "usage: shp convert <input> <output> [--from <format>] [--to <format>] [--workers <n>]
+const CONVERT_HELP: &str = "
 
 Converts a graph between the three supported formats, losslessly:
   edgelist  plain text, one `query_id<TAB>data_id` pair per line, `#` comments
@@ -167,8 +244,116 @@ Caveat: an edge list stores only the edges, so queries with no pins and
 trailing isolated data vertices are not representable in it; hmetis and shpb
 round-trip every graph exactly (shpb including data weights).";
 
-fn usage_error(message: impl Into<String>) -> ShpError {
-    ShpError::InvalidArgument(format!("{}\n{USAGE}", message.into()))
+fn invalid(message: impl Into<String>) -> ShpError {
+    ShpError::InvalidArgument(message.into())
+}
+
+/// A range check on a parsed argument.
+fn check(holds: bool, message: &str) -> ShpResult<()> {
+    holds.then_some(()).ok_or_else(|| invalid(message))
+}
+
+/// Argv split by a [`Spec`]: the positionals in order, and the raw text of each flag that was
+/// given (`""` for a switch), indexed like the table.
+struct Parsed<'a> {
+    spec: &'static Spec,
+    positionals: Vec<&'a str>,
+    values: Vec<Option<&'a str>>,
+}
+
+/// Splits `args` (the argv after the subcommand) by `spec`. `Ok(None)` asks for `--help`.
+/// A token that starts with `--` is a flag: its name is checked before its value is taken.
+fn parse<'a>(spec: &'static Spec, args: &'a [String]) -> ShpResult<Option<Parsed<'a>>> {
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        return Ok(None);
+    }
+    let mut parsed = Parsed {
+        spec,
+        positionals: Vec::new(),
+        values: vec![None; spec.flags.len()],
+    };
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            parsed.positionals.push(arg);
+            continue;
+        }
+        let index = spec
+            .flag_index(arg)
+            .ok_or_else(|| invalid(format!("unknown option {arg:?}")))?;
+        if parsed.values[index].is_some() {
+            return Err(invalid(format!("{arg} is given more than once")));
+        }
+        let value = if spec.flags[index].contains(' ') {
+            args.next()
+        } else {
+            Some("")
+        };
+        parsed.values[index] = Some(value.ok_or_else(|| invalid(format!("{arg} needs a value")))?);
+    }
+    let (name, wanted, got) = (spec.name, spec.positionals.len(), parsed.positionals.len());
+    if wanted != got {
+        return Err(invalid(format!(
+            "`shp {name}` takes {wanted} positional argument(s), got {got}"
+        )));
+    }
+    Ok(Some(parsed))
+}
+
+impl<'a> Parsed<'a> {
+    /// The raw text of `name`, a positional (`<k>`) or a flag (`--seed`), if it was given. A
+    /// flag outside this subcommand's table is never given.
+    fn raw(&self, name: &str) -> Option<&'a str> {
+        match self.spec.positionals.iter().position(|p| *p == name) {
+            Some(index) => self.positionals.get(index).copied(),
+            None => self
+                .spec
+                .flag_index(name)
+                .and_then(|index| self.values[index]),
+        }
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.raw(flag).is_some()
+    }
+
+    /// `name`'s value typed by `parse`, or `None` when an optional flag is absent.
+    fn get_with<T>(&self, name: &str, parse: impl Fn(&str) -> Option<T>) -> ShpResult<Option<T>> {
+        self.raw(name)
+            .map(|value| {
+                parse(value).ok_or_else(|| invalid(format!("invalid value {value:?} for {name}")))
+            })
+            .transpose()
+    }
+
+    fn get<T: FromStr>(&self, name: &str) -> ShpResult<Option<T>> {
+        self.get_with(name, |value| value.parse().ok())
+    }
+
+    /// A positional's typed value; [`parse`] guarantees every positional is present.
+    fn arg<T: FromStr>(&self, name: &str) -> ShpResult<T> {
+        self.get(name)?
+            .ok_or_else(|| invalid(format!("missing {name}")))
+    }
+}
+
+/// A typed command line, ready to run: building one reads no file and starts no workload.
+type Command = Box<dyn FnOnce() -> ShpResult<()>>;
+
+/// Parses a whole `shp` argv (after the program name) into a [`Command`]. Every error is an
+/// [`ShpError::InvalidArgument`].
+fn parse_command(args: &[String]) -> ShpResult<Command> {
+    let (name, rest) = args
+        .split_first()
+        .ok_or_else(|| invalid("no subcommand given"))?;
+    let spec = find_spec(name).ok_or_else(|| invalid(format!("unknown subcommand {name:?}")))?;
+    match parse(spec, rest)? {
+        Some(parsed) => (spec.build)(&parsed),
+        None => Ok(Box::new(move || {
+            println!("usage:\n{}{}", spec.synopsis(), spec.help);
+            Ok(())
+        })),
+    }
 }
 
 /// Writes a telemetry snapshot to `path`, atomically so a concurrent reader never sees a
@@ -218,339 +403,223 @@ fn with_periodic_snapshots<T>(
     })
 }
 
-fn cmd_metrics(args: &[String]) -> ShpResult<()> {
-    let (path, prometheus) = match args {
-        [path] => (path, false),
-        [path, flag] if flag == "--prometheus" => (path, true),
-        _ => return Err(usage_error("metrics needs a snapshot file")),
-    };
-    let text = std::fs::read_to_string(path)
-        .map_err(|error| ShpError::InvalidArgument(format!("cannot read {path:?}: {error}")))?;
-    let snapshot = Snapshot::from_json(&text)
-        .map_err(|error| ShpError::InvalidArgument(format!("{path}: {error}")))?;
-    if prometheus {
-        print!("{}", snapshot.to_prometheus());
-        return Ok(());
-    }
-    println!("telemetry snapshot {path} (schema v{})", snapshot.version);
-    if !snapshot.counters.is_empty() {
-        println!("\ncounters:");
-        for (name, value) in &snapshot.counters {
-            println!("  {name:<44} {value:>12}");
+fn cmd_metrics(args: &Parsed) -> ShpResult<Command> {
+    let path: String = args.arg("<snapshot.json>")?;
+    let prometheus = args.switch("--prometheus");
+    Ok(Box::new(move || {
+        let text = std::fs::read_to_string(&path)
+            .map_err(|error| ShpError::InvalidArgument(format!("cannot read {path:?}: {error}")))?;
+        let snapshot = Snapshot::from_json(&text)
+            .map_err(|error| ShpError::InvalidArgument(format!("{path}: {error}")))?;
+        if prometheus {
+            print!("{}", snapshot.to_prometheus());
+            return Ok(());
         }
-    }
-    if !snapshot.gauges.is_empty() {
-        println!("\ngauges:");
-        for (name, value) in &snapshot.gauges {
-            println!("  {name:<44} {value:>12.4}");
+        println!("telemetry snapshot {path} (schema v{})", snapshot.version);
+        if !snapshot.counters.is_empty() {
+            println!("\ncounters:");
+            for (name, value) in &snapshot.counters {
+                println!("  {name:<44} {value:>12}");
+            }
         }
-    }
-    if !snapshot.histograms.is_empty() {
-        println!(
-            "\nhistograms:{:36}{:>9} {:>11} {:>11} {:>11} {:>11}",
-            "", "count", "mean", "p50", "p99", "max"
-        );
-        for (name, h) in &snapshot.histograms {
+        if !snapshot.gauges.is_empty() {
+            println!("\ngauges:");
+            for (name, value) in &snapshot.gauges {
+                println!("  {name:<44} {value:>12.4}");
+            }
+        }
+        if !snapshot.histograms.is_empty() {
             println!(
-                "  {name:<44} {:>9} {:>11.4} {:>11.4} {:>11.4} {:>11.4}",
-                h.count,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.max
+                "\nhistograms:{:36}{:>9} {:>11} {:>11} {:>11} {:>11}",
+                "", "count", "mean", "p50", "p99", "max"
             );
+            for (name, h) in &snapshot.histograms {
+                println!(
+                    "  {name:<44} {:>9} {:>11.4} {:>11.4} {:>11.4} {:>11.4}",
+                    h.count,
+                    h.mean(),
+                    h.quantile(0.50),
+                    h.quantile(0.99),
+                    h.max
+                );
+            }
         }
-    }
-    if !snapshot.spans.is_empty() {
-        println!(
-            "\nspans:{:41}{:>9} {:>13} {:>13}",
-            "", "count", "total ms", "max ms"
-        );
-        for (name, s) in &snapshot.spans {
+        if !snapshot.spans.is_empty() {
             println!(
-                "  {name:<44} {:>9} {:>13.3} {:>13.3}",
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.max_ns as f64 / 1e6
+                "\nspans:{:41}{:>9} {:>13} {:>13}",
+                "", "count", "total ms", "max ms"
             );
+            for (name, s) in &snapshot.spans {
+                println!(
+                    "  {name:<44} {:>9} {:>13.3} {:>13.3}",
+                    s.count,
+                    s.total_ns as f64 / 1e6,
+                    s.max_ns as f64 / 1e6
+                );
+            }
         }
-    }
-    if !snapshot.top_keys.is_empty() {
-        println!("\nhot keys:");
-        for (name, keys) in &snapshot.top_keys {
-            let rendered: Vec<String> = keys
-                .entries
-                .iter()
-                .take(8)
-                .map(|(key, count)| format!("{key}x{count}"))
-                .collect();
-            println!("  {name:<44} {}", rendered.join("  "));
+        if !snapshot.top_keys.is_empty() {
+            println!("\nhot keys:");
+            for (name, keys) in &snapshot.top_keys {
+                let rendered: Vec<String> = keys
+                    .entries
+                    .iter()
+                    .take(8)
+                    .map(|(key, count)| format!("{key}x{count}"))
+                    .collect();
+                println!("  {name:<44} {}", rendered.join("  "));
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    }))
 }
 
-fn cmd_generate(args: &[String]) -> ShpResult<()> {
-    let (name, scale, output, stream) = match args {
-        [name, scale, output] => (name, scale, output, false),
-        [name, scale, output, flag] if flag == "--stream" => (name, scale, output, true),
-        _ => {
-            return Err(usage_error(
-                "generate needs 3 arguments (plus optional --stream)",
-            ))
-        }
-    };
-    let dataset = Dataset::from_name(name)
-        .ok_or_else(|| ShpError::InvalidArgument(format!("unknown dataset {name:?}")))?;
-    let scale: f64 = scale
-        .parse()
-        .map_err(|_| ShpError::InvalidArgument(format!("invalid scale {scale:?}")))?;
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(ShpError::InvalidArgument("scale must lie in (0, 1]".into()));
-    }
-    if stream {
-        // Bounded-memory path: the graph goes straight from the generator to the container,
-        // byte-identical to materializing it, but it never exists in RAM.
-        if GraphFormat::from_extension(output) != Some(GraphFormat::Shpb) {
-            return Err(ShpError::InvalidArgument(
-                "--stream writes a .shpb container: give the output a .shpb extension".into(),
-            ));
-        }
-        let config = dataset.power_law_config(scale, 0x5047).ok_or_else(|| {
-            ShpError::InvalidArgument(format!(
+fn cmd_generate(args: &Parsed) -> ShpResult<Command> {
+    let dataset = args
+        .get_with("<dataset>", Dataset::from_name)?
+        .ok_or_else(|| invalid("missing <dataset>"))?;
+    let scale: f64 = args.arg("<scale>")?;
+    check(scale > 0.0 && scale <= 1.0, "scale must lie in (0, 1]")?;
+    let output: String = args.arg("<output>")?;
+    let stream = args.switch("--stream");
+    check(
+        !stream || GraphFormat::from_extension(&output) == Some(GraphFormat::Shpb),
+        "--stream writes a .shpb container: give the output a .shpb extension",
+    )?;
+    let stream = match dataset.power_law_config(scale, 0x5047) {
+        None if stream => {
+            return Err(invalid(format!(
                 "dataset {:?} uses the social generator, which needs the whole graph in \
                  memory; --stream supports only the power-law datasets \
                  (email-Enron, web-Stanford, web-BerkStan)",
                 dataset.spec().name
-            ))
-        })?;
-        let mut stream = shp_datagen::PowerLawStream::new(config);
-        let stats = io::stream_shpb_file(&mut stream, std::path::Path::new(output))?;
+            )))
+        }
+        config => config.filter(|_| stream),
+    };
+    Ok(Box::new(move || {
+        if let Some(config) = stream {
+            // Bounded-memory path: the graph goes straight from the generator to the container,
+            // byte-identical to materializing it, but it never exists in RAM.
+            let mut stream = shp_datagen::PowerLawStream::new(config);
+            let stats = io::stream_shpb_file(&mut stream, std::path::Path::new(&output))?;
+            println!(
+                "{:<16} |Q| {:>12} |D| {:>12} |E| {:>14}  (streamed, {} source passes, {} bytes)",
+                dataset.spec().name,
+                stats.num_queries,
+                stats.num_data,
+                stats.num_pins,
+                stats.source_passes,
+                stats.bytes_written
+            );
+            println!("wrote {output}");
+            return Ok(());
+        }
+        let graph = dataset.generate(scale, 0x5047);
+        let format = GraphFormat::from_extension(&output).unwrap_or(GraphFormat::Hmetis);
+        io::write_graph_file(&graph, &output, format)?;
         println!(
-            "{:<16} |Q| {:>12} |D| {:>12} |E| {:>14}  (streamed, {} source passes, {} bytes)",
-            dataset.spec().name,
-            stats.num_queries,
-            stats.num_data,
-            stats.num_pins,
-            stats.source_passes,
-            stats.bytes_written
+            "{}",
+            GraphStats::compute(&graph).table1_row(dataset.spec().name)
         );
         println!("wrote {output}");
-        return Ok(());
-    }
-    let graph = dataset.generate(scale, 0x5047);
-    let format = GraphFormat::from_extension(output).unwrap_or(GraphFormat::Hmetis);
-    io::write_graph_file(&graph, output, format)?;
-    println!(
-        "{}",
-        GraphStats::compute(&graph).table1_row(dataset.spec().name)
-    );
-    println!("wrote {output}");
-    Ok(())
+        Ok(())
+    }))
 }
 
-fn cmd_algorithms(args: &[String]) -> ShpResult<()> {
-    if !args.is_empty() {
-        return Err(usage_error("algorithms takes no arguments"));
-    }
-    let registry = full_registry();
-    println!("registered partitioning algorithms (accepted by `shp partition --mode <name>`):");
-    for name in registry.names() {
-        println!("  {name}");
-    }
-    Ok(())
+fn cmd_algorithms(_: &Parsed) -> ShpResult<Command> {
+    Ok(Box::new(|| {
+        println!("registered partitioning algorithms (accepted by `shp partition --mode <name>`):");
+        for name in full_registry().names() {
+            println!("  {name}");
+        }
+        Ok(())
+    }))
 }
 
-fn cmd_convert(args: &[String]) -> ShpResult<()> {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{CONVERT_HELP}");
-        return Ok(());
-    }
-    if args.len() < 2 {
-        return Err(usage_error("convert needs an input and an output path"));
-    }
-    let input = &args[0];
-    let output = &args[1];
-    let mut from: Option<GraphFormat> = None;
-    let mut to: Option<GraphFormat> = None;
-    let mut workers = 4usize;
-    let mut i = 2;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))?;
-        match flag {
-            "--from" | "--to" => {
-                let format = GraphFormat::from_name(value).ok_or_else(|| {
-                    ShpError::InvalidArgument(format!(
-                        "unknown format {value:?} (expected edgelist, hmetis, or shpb)"
-                    ))
-                })?;
-                if flag == "--from" {
-                    from = Some(format);
-                } else {
-                    to = Some(format);
-                }
-            }
-            "--workers" => {
-                workers = value
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--workers needs a number".into()))?
-            }
-            other => {
-                return Err(ShpError::InvalidArgument(format!(
-                    "unknown option {other:?}"
-                )))
-            }
-        }
-        i += 2;
-    }
+fn cmd_convert(args: &Parsed) -> ShpResult<Command> {
+    let (input, output): (String, String) = (args.arg("<input>")?, args.arg("<output>")?);
+    let from = args.get_with("--from", GraphFormat::from_name)?;
+    let to = args.get_with("--to", GraphFormat::from_name)?;
+    let workers = args.get("--workers")?.unwrap_or(4);
+    check(workers >= 1, "at least 1 worker is required")?;
+    Ok(Box::new(move || {
+        // Input: explicit flag > extension > content sniffing.
+        let bytes = std::fs::read(&input).map_err(shp_hypergraph::GraphError::from)?;
+        let input_format = from.unwrap_or_else(|| GraphFormat::detect(&input, &bytes));
+        let graph = match input_format {
+            GraphFormat::EdgeList => io::parse_edge_list_bytes(&bytes, workers),
+            GraphFormat::Hmetis => io::parse_hmetis_bytes(&bytes, workers),
+            GraphFormat::Shpb => io::parse_shpb_bytes(&bytes),
+        }?;
 
-    // Input: explicit flag > extension > content sniffing.
-    let bytes = std::fs::read(input).map_err(shp_hypergraph::GraphError::from)?;
-    let input_format = from.unwrap_or_else(|| GraphFormat::detect(input, &bytes));
-    let graph = match input_format {
-        GraphFormat::EdgeList => io::parse_edge_list_bytes(&bytes, workers),
-        GraphFormat::Hmetis => io::parse_hmetis_bytes(&bytes, workers),
-        GraphFormat::Shpb => io::parse_shpb_bytes(&bytes),
-    }?;
-
-    // Output: explicit flag > extension (contents cannot be sniffed for a file that does not
-    // exist yet).
-    let output_format = to
-        .or_else(|| GraphFormat::from_extension(output))
-        .ok_or_else(|| {
-            ShpError::InvalidArgument(format!(
-                "cannot infer the output format of {output:?}: use a known extension or --to"
-            ))
-        })?;
-    io::write_graph_file(&graph, output, output_format)?;
-    println!(
-        "converted {input} ({}) -> {output} ({}): {} queries, {} data vertices, {} pins",
-        input_format.name(),
-        output_format.name(),
-        graph.num_queries(),
-        graph.num_data(),
-        graph.num_edges()
-    );
-    Ok(())
+        // Output: explicit flag > extension (contents cannot be sniffed for a file that does not
+        // exist yet).
+        let output_format = to
+            .or_else(|| GraphFormat::from_extension(&output))
+            .ok_or_else(|| {
+                ShpError::InvalidArgument(format!(
+                    "cannot infer the output format of {output:?}: use a known extension or --to"
+                ))
+            })?;
+        io::write_graph_file(&graph, &output, output_format)?;
+        println!(
+            "converted {input} ({}) -> {output} ({}): {} queries, {} data vertices, {} pins",
+            input_format.name(),
+            output_format.name(),
+            graph.num_queries(),
+            graph.num_data(),
+            graph.num_edges()
+        );
+        Ok(())
+    }))
 }
 
-fn cmd_partition(args: &[String]) -> ShpResult<()> {
-    if args.len() < 3 {
-        return Err(usage_error("partition needs at least 3 arguments"));
-    }
-    let input = &args[0];
-    let k: u32 = args[1]
-        .parse()
-        .map_err(|_| ShpError::InvalidArgument(format!("invalid k {:?}", args[1])))?;
-    let output = &args[2];
-    let mut mode = "shp2".to_string();
-    let mut p = 0.5f64;
-    let mut epsilon = 0.05f64;
-    let mut seed = 0x5047u64;
-    let mut iterations: Option<usize> = None;
-    let mut workers = 4usize;
-    let mut json = false;
-    let mut mmap = false;
-    let mut metrics: Option<String> = None;
-    let mut i = 3;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--json" {
-            json = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--mmap" {
-            mmap = true;
-            i += 1;
-            continue;
-        }
-        let value = || {
-            args.get(i + 1)
-                .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))
-        };
-        match flag {
-            "--mode" => mode = value()?.clone(),
-            "--p" => {
-                p = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--p needs a number".into()))?
-            }
-            "--epsilon" => {
-                epsilon = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--epsilon needs a number".into()))?
-            }
-            "--seed" => {
-                seed = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--seed needs a number".into()))?
-            }
-            "--iterations" => {
-                iterations =
-                    Some(value()?.parse().map_err(|_| {
-                        ShpError::InvalidArgument("--iterations needs a number".into())
-                    })?)
-            }
-            "--workers" => {
-                workers = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--workers needs a number".into()))?
-            }
-            "--metrics" => metrics = Some(value()?.clone()),
-            other => {
-                return Err(ShpError::InvalidArgument(format!(
-                    "unknown option {other:?}"
-                )))
-            }
-        }
-        i += 2;
-    }
-
-    let objective = if p >= 1.0 {
-        ObjectiveKind::Fanout
-    } else if p <= 0.0 {
-        ObjectiveKind::CliqueNet
-    } else {
-        ObjectiveKind::ProbabilisticFanout { p }
+/// `k`, `--p`, `--epsilon`, `--workers` and `--iterations` are range-checked by
+/// [`PartitionSpec::validate`] when the run starts.
+fn cmd_partition(args: &Parsed) -> ShpResult<Command> {
+    let objective = match args.get("--p")?.unwrap_or(0.5) {
+        p if p >= 1.0 => ObjectiveKind::Fanout,
+        p if p <= 0.0 => ObjectiveKind::CliqueNet,
+        p => ObjectiveKind::ProbabilisticFanout { p },
     };
-    let mut spec = PartitionSpec::new(k)
+    let mut spec = PartitionSpec::new(args.arg("<k>")?)
         .with_objective(objective)
-        .with_epsilon(epsilon)
-        .with_seed(seed)
-        .with_workers(workers);
-    if let Some(iters) = iterations {
-        spec = spec.with_max_iterations(iters);
-    }
-
-    let graph = if mmap {
-        // Zero-copy open: adjacency stays on disk behind borrowed views; the kernel pages in
-        // only what the partitioner touches.
-        io::map_shpb_file(input)?
-    } else {
-        io::read_graph_file_with(input, workers)?
-    };
-    let registry = full_registry();
-    let outcome = registry.run(&mode, &graph, &spec, &mut NoopObserver)?;
-    io::write_partition_file(&outcome.partition, output)?;
-    if let Some(path) = metrics.as_deref() {
-        // The partition phases record into the process-global registry; one snapshot after
-        // the run captures parse, CSR build, levels, refinement, and balance repair.
-        write_metrics_file(path, &shp_telemetry::global().snapshot())?;
-        eprintln!("wrote telemetry snapshot to {path}");
-    }
-    if json {
-        // Keep stdout machine-readable: exactly one JSON object, nothing else.
-        println!("{}", outcome.to_json());
-        eprintln!("wrote {output}");
-    } else {
-        print_outcome(&outcome);
-        println!("wrote {output}");
-    }
-    Ok(())
+        .with_epsilon(args.get("--epsilon")?.unwrap_or(0.05))
+        .with_seed(args.get("--seed")?.unwrap_or(0x5047))
+        .with_workers(args.get("--workers")?.unwrap_or(4));
+    spec.max_iterations = args.get("--iterations")?;
+    let (input, output): (String, String) = (args.arg("<input>")?, args.arg("<output.part>")?);
+    let mode: String = args.get("--mode")?.unwrap_or_else(|| "shp2".into());
+    let metrics: Option<String> = args.get("--metrics")?;
+    let (json, mmap) = (args.switch("--json"), args.switch("--mmap"));
+    Ok(Box::new(move || {
+        let graph = if mmap {
+            // Zero-copy open: adjacency stays on disk behind borrowed views; the kernel pages in
+            // only what the partitioner touches.
+            io::map_shpb_file(&input)?
+        } else {
+            io::read_graph_file_with(&input, spec.workers)?
+        };
+        let registry = full_registry();
+        let outcome = registry.run(&mode, &graph, &spec, &mut NoopObserver)?;
+        io::write_partition_file(&outcome.partition, &output)?;
+        if let Some(path) = metrics.as_deref() {
+            // The partition phases record into the process-global registry; one snapshot after
+            // the run captures parse, CSR build, levels, refinement, and balance repair.
+            write_metrics_file(path, &shp_telemetry::global().snapshot())?;
+            eprintln!("wrote telemetry snapshot to {path}");
+        }
+        if json {
+            // Keep stdout machine-readable: exactly one JSON object, nothing else.
+            println!("{}", outcome.to_json());
+            eprintln!("wrote {output}");
+        } else {
+            print_outcome(&outcome);
+            println!("wrote {output}");
+        }
+        Ok(())
+    }))
 }
 
 fn print_outcome(outcome: &PartitionOutcome) {
@@ -566,38 +635,34 @@ fn print_outcome(outcome: &PartitionOutcome) {
     );
 }
 
-fn cmd_evaluate(args: &[String]) -> ShpResult<()> {
-    let (positional, json) = match args {
-        [a, b, c] => ([a, b, c], false),
-        [a, b, c, flag] if flag == "--json" => ([a, b, c], true),
-        _ => return Err(usage_error("evaluate needs 3 arguments")),
-    };
-    let [input, partition_path, k] = positional;
-    let k: u32 = k
-        .parse()
-        .map_err(|_| ShpError::InvalidArgument(format!("invalid k {k:?}")))?;
-    let graph = io::read_graph_file(input)?;
-    let partition = io::read_partition_file(&graph, k, partition_path)?;
-    let fanout = average_fanout(&graph, &partition);
-    let p_fanout = average_p_fanout(&graph, &partition, 0.5);
-    let cut = hyperedge_cut(&graph, &partition);
-    let imbalance = partition.imbalance();
-    if json {
-        let report = Json::object([
-            ("fanout", Json::fixed(fanout, 6)),
-            ("p_fanout", Json::fixed(p_fanout, 6)),
-            ("hyperedge_cut", Json::from(cut)),
-            ("imbalance", Json::fixed(imbalance, 6)),
-            ("num_buckets", Json::from(k)),
-        ]);
-        println!("{report}");
-    } else {
-        println!("{}", GraphStats::compute(&graph));
-        println!(
+fn cmd_evaluate(args: &Parsed) -> ShpResult<Command> {
+    let (input, partition_path): (String, String) =
+        (args.arg("<input>")?, args.arg("<partition.part>")?);
+    let (k, json): (u32, bool) = (args.arg("<k>")?, args.switch("--json"));
+    Ok(Box::new(move || {
+        let graph = io::read_graph_file(&input)?;
+        let partition = io::read_partition_file(&graph, k, &partition_path)?;
+        let fanout = average_fanout(&graph, &partition);
+        let p_fanout = average_p_fanout(&graph, &partition, 0.5);
+        let cut = hyperedge_cut(&graph, &partition);
+        let imbalance = partition.imbalance();
+        if json {
+            let report = Json::object([
+                ("fanout", Json::fixed(fanout, 6)),
+                ("p_fanout", Json::fixed(p_fanout, 6)),
+                ("hyperedge_cut", Json::from(cut)),
+                ("imbalance", Json::fixed(imbalance, 6)),
+                ("num_buckets", Json::from(k)),
+            ]);
+            println!("{report}");
+        } else {
+            println!("{}", GraphStats::compute(&graph));
+            println!(
             "fanout {fanout:.4}  p-fanout(0.5) {p_fanout:.4}  hyperedge-cut {cut}  imbalance {imbalance:.4}"
         );
-    }
-    Ok(())
+        }
+        Ok(())
+    }))
 }
 
 /// Shared options of the serving subcommands.
@@ -632,135 +697,57 @@ struct ServeOptions {
 }
 
 impl ServeOptions {
-    fn parse(args: &[String]) -> ShpResult<Self> {
-        let mut options = ServeOptions {
-            dataset: Dataset::EmailEnron,
-            graph: None,
-            partition: None,
-            scale: 0.05,
-            shards: 16,
-            rate: 200.0,
-            duration: 60.0,
-            clients: 4,
-            cache: 0,
-            seed: 0x5047,
-            workers: 4,
-            metrics: None,
-            repartition_every: 0,
-            migration_budget: 256,
-            mmap: false,
+    /// Types and range-checks `replay`'s or `serve`'s flags; the serve-only ones keep their
+    /// defaults under `replay`, whose table does not list them.
+    fn from_args(args: &Parsed) -> ShpResult<Self> {
+        let options = ServeOptions {
+            dataset: args
+                .get_with("--dataset", Dataset::from_name)?
+                .unwrap_or(Dataset::EmailEnron),
+            graph: args.get("--graph")?,
+            partition: args.get("--partition")?,
+            scale: args.get("--scale")?.unwrap_or(0.05),
+            shards: args.get("--shards")?.unwrap_or(16),
+            rate: args.get("--rate")?.unwrap_or(200.0),
+            duration: args.get("--duration")?.unwrap_or(60.0),
+            clients: args.get("--clients")?.unwrap_or(4),
+            cache: args.get("--cache")?.unwrap_or(0),
+            seed: args.get("--seed")?.unwrap_or(0x5047),
+            workers: args.get("--workers")?.unwrap_or(4),
+            metrics: args.get("--metrics")?,
+            repartition_every: args.get("--repartition-every")?.unwrap_or(0),
+            migration_budget: args.get("--migration-budget")?.unwrap_or(256),
+            mmap: args.switch("--mmap"),
         };
-        let invalid = |message: String| ShpError::InvalidArgument(message);
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--mmap" {
-                options.mmap = true;
-                i += 1;
-                continue;
-            }
-            // Recognize the flag before demanding a value, so an unknown trailing flag is
-            // reported as unknown rather than as missing its (nonexistent) value.
-            if !matches!(
-                args[i].as_str(),
-                "--dataset"
-                    | "--graph"
-                    | "--partition"
-                    | "--scale"
-                    | "--shards"
-                    | "--rate"
-                    | "--duration"
-                    | "--clients"
-                    | "--cache"
-                    | "--seed"
-                    | "--workers"
-                    | "--metrics"
-                    | "--repartition-every"
-                    | "--migration-budget"
-            ) {
-                return Err(invalid(format!("unknown option {:?}", args[i])));
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| invalid(format!("{} needs a value", args[i])))?;
-            match args[i].as_str() {
-                "--dataset" => {
-                    options.dataset = Dataset::from_name(value)
-                        .ok_or_else(|| invalid(format!("unknown dataset {value:?}")))?;
-                }
-                "--graph" => options.graph = Some(value.clone()),
-                "--partition" => options.partition = Some(value.clone()),
-                "--scale" => {
-                    options.scale = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid scale {value:?}")))?;
-                    if !(options.scale > 0.0 && options.scale <= 1.0) {
-                        return Err(invalid("scale must lie in (0, 1]".into()));
-                    }
-                }
-                "--shards" => {
-                    options.shards = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid shard count {value:?}")))?;
-                    if options.shards < 2 {
-                        return Err(invalid("at least 2 shards are required".into()));
-                    }
-                }
-                "--rate" => {
-                    options.rate = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid rate {value:?}")))?;
-                    if !(options.rate > 0.0 && options.rate.is_finite()) {
-                        return Err(invalid("rate must be a positive number".into()));
-                    }
-                }
-                "--duration" => {
-                    options.duration = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid duration {value:?}")))?;
-                    if !(options.duration > 0.0 && options.duration.is_finite()) {
-                        return Err(invalid("duration must be a positive number".into()));
-                    }
-                }
-                "--clients" => {
-                    options.clients = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid client count {value:?}")))?;
-                }
-                "--cache" => {
-                    options.cache = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid cache capacity {value:?}")))?;
-                }
-                "--seed" => {
-                    options.seed = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid seed {value:?}")))?;
-                }
-                "--workers" => {
-                    options.workers = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid worker count {value:?}")))?;
-                    if options.workers == 0 {
-                        return Err(invalid("at least 1 worker is required".into()));
-                    }
-                }
-                "--metrics" => options.metrics = Some(value.clone()),
-                "--repartition-every" => {
-                    options.repartition_every = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid repartition cadence {value:?}")))?;
-                }
-                "--migration-budget" => {
-                    options.migration_budget = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid migration budget {value:?}")))?;
-                    if options.migration_budget == 0 {
-                        return Err(invalid("the migration budget must be at least 1".into()));
-                    }
-                }
-                _ => unreachable!("flag names are checked above"),
-            }
-            i += 2;
+        let positive = |value: f64| value > 0.0 && value.is_finite();
+        for (holds, message) in [
+            (
+                options.scale > 0.0 && options.scale <= 1.0,
+                "scale must lie in (0, 1]",
+            ),
+            (options.shards >= 2, "at least 2 shards are required"),
+            (positive(options.rate), "rate must be a positive number"),
+            (
+                positive(options.duration),
+                "duration must be a positive number",
+            ),
+            (options.clients >= 1, "at least 1 client is required"),
+            (options.workers >= 1, "at least 1 worker is required"),
+            (
+                options.migration_budget >= 1,
+                "the migration budget must be at least 1",
+            ),
+            (
+                options.graph.is_some() || !options.mmap,
+                "--mmap requires --graph <file.shpb> (a generated dataset has no on-disk \
+                 container to map)",
+            ),
+            (
+                options.graph.is_some() || options.partition.is_none(),
+                "--partition requires --graph (a generated dataset has no saved placement)",
+            ),
+        ] {
+            check(holds, message)?;
         }
         Ok(options)
     }
@@ -797,20 +784,6 @@ impl ServeOptions {
                 Ok((warm.graph, warm.partition))
             }
             None => {
-                if self.mmap {
-                    return Err(ShpError::InvalidArgument(
-                        "--mmap requires --graph <file.shpb> (a generated dataset has no \
-                         on-disk container to map)"
-                            .into(),
-                    ));
-                }
-                if self.partition.is_some() {
-                    return Err(ShpError::InvalidArgument(
-                        "--partition requires --graph (a generated dataset has no saved \
-                         placement)"
-                            .into(),
-                    ));
-                }
                 let graph = self
                     .dataset
                     .generate(self.scale, self.seed)
@@ -842,68 +815,60 @@ impl ServeOptions {
     }
 }
 
-fn cmd_replay(args: &[String]) -> ShpResult<()> {
-    let options = ServeOptions::parse(args)?;
-    if options.partition.is_some() {
-        return Err(ShpError::InvalidArgument(
-            "--partition is only meaningful for `shp serve`".into(),
-        ));
-    }
-    if options.repartition_every != 0 {
-        return Err(ShpError::InvalidArgument(
-            "--repartition-every is only meaningful for `shp serve`".into(),
-        ));
-    }
-    let (graph, _) = options.load_warm_start()?;
-    println!(
-        "workload: {} ({} queries, {} keys), {} shards, rate {}/t for {}t, {} clients",
-        options.graph_label(),
-        graph.num_queries(),
-        graph.num_data(),
-        options.shards,
-        options.rate,
-        options.duration,
-        options.clients
-    );
+fn cmd_replay(args: &Parsed) -> ShpResult<Command> {
+    let options = ServeOptions::from_args(args)?;
+    Ok(Box::new(move || {
+        let (graph, _) = options.load_warm_start()?;
+        println!(
+            "workload: {} ({} queries, {} keys), {} shards, rate {}/t for {}t, {} clients",
+            options.graph_label(),
+            graph.num_queries(),
+            graph.num_data(),
+            options.shards,
+            options.rate,
+            options.duration,
+            options.clients
+        );
 
-    let events = open_loop_schedule(graph.num_queries(), &options.workload());
-    println!("schedule: {} multigets\n", events.len());
+        let events = open_loop_schedule(graph.num_queries(), &options.workload());
+        println!("schedule: {} multigets\n", events.len());
 
-    let registry = full_registry();
-    let random = registry.run("random", &graph, &options.spec(), &mut NoopObserver)?;
-    println!("computing SHP-2 partition...");
-    let shp = options.shp_outcome(&registry, &graph)?;
+        let registry = full_registry();
+        let random = registry.run("random", &graph, &options.spec(), &mut NoopObserver)?;
+        println!("computing SHP-2 partition...");
+        let shp = options.shp_outcome(&registry, &graph)?;
 
-    let mut rows: Vec<(&str, shp_serving::ServingReport)> = Vec::new();
-    // Telemetry from engines that already finished their workload, keyed by prefix; each
-    // periodic snapshot folds the live engine and the process-global registry on top.
-    let mut served = Snapshot::new();
-    for (name, prefix, outcome) in [
-        ("Random", "serving/random", &random),
-        ("SHP-2", "serving/shp2", &shp),
-    ] {
-        let engine = ServingEngine::new(&outcome.partition, options.engine_config())?;
-        let snapshot_now = || {
-            let mut live = served.clone();
-            live.merge(&engine.telemetry_snapshot(prefix));
-            live.merge(&shp_telemetry::global().snapshot());
-            live
-        };
-        let report = with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
-            Ok(engine.run_workload(&graph, &events, options.clients)?)
-        })?;
-        served.merge(&engine.telemetry_snapshot(prefix));
-        println!("=== {name} ===\n{report}\n");
-        rows.push((name, report));
-    }
-    if let Some(path) = options.metrics.as_deref() {
-        served.merge(&shp_telemetry::global().snapshot());
-        write_metrics_file(path, &served)?;
-        println!("wrote telemetry snapshot to {path}");
-    }
+        let mut rows: Vec<(&str, ServingReport)> = Vec::new();
+        // Telemetry from engines that already finished their workload, keyed by prefix; each
+        // periodic snapshot folds the live engine and the process-global registry on top.
+        let mut served = Snapshot::new();
+        for (name, prefix, outcome) in [
+            ("Random", "serving/random", &random),
+            ("SHP-2", "serving/shp2", &shp),
+        ] {
+            let engine = ServingEngine::new(&outcome.partition, options.engine_config())?;
+            let snapshot_now = || {
+                let mut live = served.clone();
+                live.merge(&engine.telemetry_snapshot(prefix));
+                live.merge(&shp_telemetry::global().snapshot());
+                live
+            };
+            let report =
+                with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
+                    Ok(engine.run_workload(&graph, &events, options.clients)?)
+                })?;
+            served.merge(&engine.telemetry_snapshot(prefix));
+            println!("=== {name} ===\n{report}\n");
+            rows.push((name, report));
+        }
+        if let Some(path) = options.metrics.as_deref() {
+            served.merge(&shp_telemetry::global().snapshot());
+            write_metrics_file(path, &served)?;
+            println!("wrote telemetry snapshot to {path}");
+        }
 
-    let (random_report, shp_report) = (&rows[0].1, &rows[1].1);
-    println!(
+        let (random_report, shp_report) = (&rows[0].1, &rows[1].1);
+        println!(
         "SHP-2 vs Random: mean fanout {:.3} -> {:.3} ({:.1}% lower), p99 latency {:.3}t -> {:.3}t ({:.1}% lower)",
         random_report.mean_fanout,
         shp_report.mean_fanout,
@@ -912,125 +877,79 @@ fn cmd_replay(args: &[String]) -> ShpResult<()> {
         shp_report.p99,
         100.0 * (1.0 - shp_report.p99 / random_report.p99),
     );
-    if shp_report.mean_fanout >= random_report.mean_fanout {
-        return Err(ShpError::Runtime(
-            "SHP partition failed to lower mean fanout".into(),
-        ));
-    }
-    if shp_report.p99 >= random_report.p99 {
-        return Err(ShpError::Runtime(
-            "SHP partition failed to lower p99 latency".into(),
-        ));
-    }
-    Ok(())
+        if shp_report.mean_fanout >= random_report.mean_fanout {
+            return Err(ShpError::Runtime(
+                "SHP partition failed to lower mean fanout".into(),
+            ));
+        }
+        if shp_report.p99 >= random_report.p99 {
+            return Err(ShpError::Runtime(
+                "SHP partition failed to lower p99 latency".into(),
+            ));
+        }
+        Ok(())
+    }))
 }
 
-fn cmd_serve(args: &[String]) -> ShpResult<()> {
-    let options = ServeOptions::parse(args)?;
-    let (graph, loaded_partition) = options.load_warm_start()?;
-    let events = open_loop_schedule(graph.num_queries(), &options.workload());
-    let start = match loaded_partition {
-        Some(partition) => {
-            println!(
-                "serving {} multigets over {} keys on {} shards; warm start from the \
-                 placement in {}",
-                events.len(),
-                graph.num_data(),
-                options.shards,
-                options.partition.as_deref().unwrap_or("?"),
-            );
-            partition
+fn cmd_serve(args: &Parsed) -> ShpResult<Command> {
+    let options = ServeOptions::from_args(args)?;
+    Ok(Box::new(move || {
+        let (graph, loaded_partition) = options.load_warm_start()?;
+        let events = open_loop_schedule(graph.num_queries(), &options.workload());
+        let start = match loaded_partition {
+            Some(partition) => {
+                println!(
+                    "serving {} multigets over {} keys on {} shards; warm start from the \
+                     placement in {}",
+                    events.len(),
+                    graph.num_data(),
+                    options.shards,
+                    options.partition.as_deref().unwrap_or("?"),
+                );
+                partition
+            }
+            None => {
+                println!(
+                    "serving {} multigets over {} keys on {} shards; starting from a random \
+                     partition",
+                    events.len(),
+                    graph.num_data(),
+                    options.shards
+                );
+                RandomPartitioner::new(options.seed).partition_into(&graph, options.shards, 0.05)
+            }
+        };
+        if options.repartition_every > 0 {
+            return serve_online(&options, &graph, &events, &start);
         }
-        None => {
-            println!(
-                "serving {} multigets over {} keys on {} shards; starting from a random \
-                 partition",
-                events.len(),
-                graph.num_data(),
-                options.shards
-            );
-            RandomPartitioner::new(options.seed).partition_into(&graph, options.shards, 0.05)
-        }
-    };
-    if options.repartition_every > 0 {
-        return serve_online(&options, &graph, &events, &start);
-    }
-    let engine = ServingEngine::new(&start, options.engine_config())?;
+        let engine = ServingEngine::new(&start, options.engine_config())?;
 
-    // Plan the repartition off the serving path, then warm-start it live once at least half of
-    // the schedule has been served: the swapper thread races the concurrent clients, and every
-    // in-flight multiget finishes on whichever generation it loaded.
-    println!("planning SHP-2 repartition off the serving path...");
-    let registry = full_registry();
-    let shp = options.shp_outcome(&registry, &graph)?;
-    let progress = AtomicUsize::new(0);
-    let swap_at = events.len() / 2;
-    let chunk = events.len().div_ceil(options.clients.max(1)).max(1);
-    let snapshot_now = || {
-        let mut live = engine.telemetry_snapshot("serving");
-        live.merge(&shp_telemetry::global().snapshot());
-        live
-    };
-    let outcome: ShpResult<()> =
-        with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
-            std::thread::scope(|scope| {
-                let engine_ref = &engine;
-                let graph_ref = &graph;
-                let progress_ref = &progress;
-                let shp_ref = &shp;
-                let swapper = scope.spawn(move || -> ShpResult<u64> {
-                    while progress_ref.load(Ordering::Relaxed) < swap_at {
-                        std::thread::yield_now();
-                    }
-                    Ok(engine_ref.warm_start(shp_ref)?)
-                });
-                let clients: Vec<_> = events
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || -> ShpResult<()> {
-                            for event in slice {
-                                engine_ref.multiget(graph_ref.query_neighbors(event.query))?;
-                                progress_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                for client in clients {
-                    client.join().expect("client thread panicked")?;
-                }
-                let epoch = swapper.join().expect("swapper thread panicked")?;
+        // Plan the repartition off the serving path, then warm-start it live once at least half of
+        // the schedule has been served: the swap races the concurrent clients, and every
+        // in-flight multiget finishes on whichever generation it loaded.
+        println!("planning SHP-2 repartition off the serving path...");
+        let shp = options.shp_outcome(&full_registry(), &graph)?;
+        let swap_at = events.len() / 2;
+        let ((), report) = serve_live(&options, &engine, &graph, &events, |progress| {
+            if progress.wait_for(swap_at) {
+                let epoch = engine.warm_start(&shp)?;
                 println!("installed SHP-2 partition live at epoch {epoch}");
-                Ok(())
-            })
-        });
-    outcome?;
-    if let Some(path) = options.metrics.as_deref() {
-        write_metrics_file(path, &snapshot_now())?;
-        println!("wrote telemetry snapshot to {path}");
-    }
-
-    let report = engine.report();
-    println!("\n{report}");
-    if report.queries != events.len() as u64 {
-        return Err(ShpError::Runtime(format!(
-            "serving gap: only {} of {} multigets were served",
-            report.queries,
-            events.len()
-        )));
-    }
-    if report.max_epoch == 0 {
-        return Err(ShpError::Runtime(
-            "the run finished before the repartition could be installed; \
-             increase --duration or --rate so the swap lands mid-run"
-                .into(),
-        ));
-    }
-    println!(
-        "\nno serving gap: all {} multigets answered across epochs {}..={}",
-        report.queries, report.min_epoch, report.max_epoch
-    );
-    Ok(())
+            }
+            Ok(())
+        })?;
+        if report.max_epoch == 0 {
+            return Err(ShpError::Runtime(
+                "the run finished before the repartition could be installed; \
+                 increase --duration or --rate so the swap lands mid-run"
+                    .into(),
+            ));
+        }
+        println!(
+            "\nno serving gap: all {} multigets answered across epochs {}..={}",
+            report.queries, report.min_epoch, report.max_epoch
+        );
+        Ok(())
+    }))
 }
 
 /// `shp serve --repartition-every <n>`: the closed observe→repartition loop, live.
@@ -1050,7 +969,7 @@ fn serve_online(
     ));
     let engine =
         ServingEngine::new(start, options.engine_config())?.with_access_observer(collector.clone());
-    let controller = RepartitionController::new(
+    let mut controller = RepartitionController::new(
         collector,
         ControllerConfig {
             migration_budget: options.migration_budget,
@@ -1064,77 +983,118 @@ fn serve_online(
         options.repartition_every, options.migration_budget
     );
 
-    let progress = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let chunk = events.len().div_ceil(options.clients.max(1)).max(1);
+    let every = options.repartition_every;
+    let (controller, _) = serve_live(options, &engine, graph, events, |progress| {
+        let mut boundary = every;
+        while progress.wait_for(boundary) {
+            // A failed epoch (infeasible budget, torn trace, ...) must not tear down serving:
+            // skip it, report why, and keep the loop alive.
+            let skipped_before = controller.epochs_skipped();
+            match controller.run_epoch_or_skip(&engine) {
+                Some(outcome) => println!(
+                    "epoch {}: moved {} keys (observed fanout {:.3} -> {:.3} over {} \
+                     multigets)",
+                    outcome.epoch,
+                    outcome.moved_keys,
+                    outcome.fanout_before,
+                    outcome.fanout_after,
+                    outcome.observed_queries
+                ),
+                None if controller.epochs_skipped() > skipped_before => eprintln!(
+                    "repartition epoch skipped (serving continues): {}",
+                    controller.last_skip_reason().unwrap_or("unknown failure")
+                ),
+                None => {}
+            }
+            boundary += every;
+        }
+        Ok(controller)
+    })?;
+    if controller.epochs_run() == 0 {
+        return Err(ShpError::Runtime(format!(
+            "no controller epoch succeeded: the schedule served {} multigets at cadence {} \
+             ({} epoch(s) skipped); lower --repartition-every or raise --rate/--duration",
+            events.len(),
+            every,
+            controller.epochs_skipped()
+        )));
+    }
+    println!(
+        "\nonline loop closed: {} controller epoch(s) ({} skipped), {} key(s) moved in total \
+         (budget {} keys/epoch), final epoch {}",
+        controller.epochs_run(),
+        controller.epochs_skipped(),
+        controller.cumulative_moved(),
+        options.migration_budget,
+        engine.current_epoch()
+    );
+    Ok(())
+}
+
+/// How far the client threads of [`serve_live`] have got.
+#[derive(Default)]
+struct Progress {
+    served: AtomicUsize,
+    done: AtomicBool,
+}
+
+impl Progress {
+    /// Spins until `target` multigets were served (`true`) or every client finished short of
+    /// it (`false`).
+    fn wait_for(&self, target: usize) -> bool {
+        while self.served.load(Ordering::Relaxed) < target {
+            if self.done.load(Ordering::Relaxed) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+}
+
+/// Serves `events` on `--clients` threads, one contiguous chunk each, while `side` (the live
+/// swap or the controller loop) runs on a thread of its own and watches their [`Progress`].
+/// Rewrites the `--metrics` file about once a second and once more at the end, prints the
+/// engine's report, and fails with a serving gap unless every multiget was answered.
+fn serve_live<T: Send>(
+    options: &ServeOptions,
+    engine: &ServingEngine,
+    graph: &BipartiteGraph,
+    events: &[WorkloadEvent],
+    side: impl FnOnce(&Progress) -> ShpResult<T> + Send,
+) -> ShpResult<(T, ServingReport)> {
+    let progress = &Progress::default();
+    let chunk = events.len().div_ceil(options.clients).max(1);
     let snapshot_now = || {
         let mut live = engine.telemetry_snapshot("serving");
         live.merge(&shp_telemetry::global().snapshot());
         live
     };
-    let (epochs_run, cumulative_moved, epochs_skipped) =
-        with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
-            std::thread::scope(|scope| {
-                let engine_ref = &engine;
-                let graph_ref = &graph;
-                let progress_ref = &progress;
-                let done_ref = &done;
-                let every = options.repartition_every;
-                let mut controller = controller;
-                let driver = scope.spawn(move || -> (usize, usize, usize) {
-                    let mut boundary = every;
-                    loop {
-                        while progress_ref.load(Ordering::Relaxed) < boundary {
-                            if done_ref.load(Ordering::Relaxed) {
-                                return (
-                                    controller.epochs_run(),
-                                    controller.cumulative_moved(),
-                                    controller.epochs_skipped(),
-                                );
-                            }
-                            std::thread::yield_now();
+    let side_result = with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
+        std::thread::scope(|scope| {
+            let side = scope.spawn(move || side(progress));
+            let clients: Vec<_> = events
+                .chunks(chunk)
+                .map(|slice| {
+                    scope.spawn(move || -> ShpResult<()> {
+                        for event in slice {
+                            engine.multiget(graph.query_neighbors(event.query))?;
+                            progress.served.fetch_add(1, Ordering::Relaxed);
                         }
-                        // A failed epoch (infeasible budget, torn trace, ...) must not tear
-                        // down serving: skip it, report why, and keep the loop alive.
-                        let skipped_before = controller.epochs_skipped();
-                        match controller.run_epoch_or_skip(engine_ref) {
-                            Some(outcome) => println!(
-                                "epoch {}: moved {} keys (observed fanout {:.3} -> {:.3} over \
-                                 {} multigets)",
-                                outcome.epoch,
-                                outcome.moved_keys,
-                                outcome.fanout_before,
-                                outcome.fanout_after,
-                                outcome.observed_queries
-                            ),
-                            None if controller.epochs_skipped() > skipped_before => eprintln!(
-                                "repartition epoch skipped (serving continues): {}",
-                                controller.last_skip_reason().unwrap_or("unknown failure")
-                            ),
-                            None => {}
-                        }
-                        boundary += every;
-                    }
-                });
-                let clients: Vec<_> = events
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || -> ShpResult<()> {
-                            for event in slice {
-                                engine_ref.multiget(graph_ref.query_neighbors(event.query))?;
-                                progress_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(())
-                        })
+                        Ok(())
                     })
-                    .collect();
-                for client in clients {
-                    client.join().expect("client thread panicked")?;
-                }
-                done.store(true, Ordering::Relaxed);
-                Ok(driver.join().expect("controller thread panicked"))
-            })
-        })?;
+                })
+                .collect();
+            let served: ShpResult<()> = clients
+                .into_iter()
+                .try_for_each(|client| client.join().expect("client thread panicked"));
+            // Raised on failure too, so a side thread waiting on progress never outlives
+            // the clients.
+            progress.done.store(true, Ordering::Relaxed);
+            let side_result = side.join().expect("serving side thread panicked");
+            served.and(side_result)
+        })
+    })?;
     if let Some(path) = options.metrics.as_deref() {
         write_metrics_file(path, &snapshot_now())?;
         println!("wrote telemetry snapshot to {path}");
@@ -1149,25 +1109,7 @@ fn serve_online(
             events.len()
         )));
     }
-    if epochs_run == 0 {
-        return Err(ShpError::Runtime(format!(
-            "no controller epoch succeeded: the schedule served {} multigets at cadence {} \
-             ({} epoch(s) skipped); lower --repartition-every or raise --rate/--duration",
-            events.len(),
-            options.repartition_every,
-            epochs_skipped
-        )));
-    }
-    println!(
-        "\nonline loop closed: {} controller epoch(s) ({} skipped), {} key(s) moved in total \
-         (budget {} keys/epoch), final epoch {}",
-        epochs_run,
-        epochs_skipped,
-        cumulative_moved,
-        options.migration_budget,
-        engine.current_epoch()
-    );
-    Ok(())
+    Ok((side_result, report))
 }
 
 /// Renders one scenario run as a JSON object (phase rows plus the headline totals).
@@ -1193,149 +1135,101 @@ fn drift_report_json(report: &DriftReport) -> Json {
     ])
 }
 
-fn cmd_controller(args: &[String]) -> ShpResult<()> {
-    let mut quick = false;
-    let mut json = false;
-    let mut phases: Option<usize> = None;
-    let mut every: Option<usize> = None;
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--quick" || flag == "--json" {
-            if flag == "--quick" {
-                quick = true;
-            } else {
-                json = true;
-            }
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))?;
-        let parsed = |what: &str| {
-            value
-                .parse::<usize>()
-                .map_err(|_| ShpError::InvalidArgument(format!("invalid {what} {value:?}")))
-        };
-        match flag {
-            "--phases" => phases = Some(parsed("phase count")?),
-            "--every" => every = Some(parsed("epoch cadence")?),
-            "--budget" => budget = Some(parsed("migration budget")?),
-            "--seed" => {
-                seed =
-                    Some(value.parse().map_err(|_| {
-                        ShpError::InvalidArgument(format!("invalid seed {value:?}"))
-                    })?)
-            }
-            other => return Err(usage_error(format!("unknown option {other:?}"))),
-        }
-        i += 2;
-    }
-
+fn cmd_controller(args: &Parsed) -> ShpResult<Command> {
     let mut config = DriftConfig::default();
-    if quick {
+    if args.switch("--quick") {
         config = config.quick();
     }
-    if let Some(phases) = phases {
-        config.phases = phases;
-    }
-    if let Some(every) = every {
-        config.repartition_every = every;
-    }
-    if let Some(budget) = budget {
-        config.migration_budget = budget;
-    }
-    if let Some(seed) = seed {
-        config.seed = seed;
-    }
-    if config.phases == 0 || config.repartition_every == 0 || config.migration_budget == 0 {
-        return Err(ShpError::InvalidArgument(
-            "--phases, --every, and --budget must all be at least 1".into(),
-        ));
-    }
-
-    if !json {
-        println!(
-            "drift scenario: {} communities x {} keys on {} shards, {} phases x {} multigets, \
-             structure shifts {} keys/phase",
-            config.communities,
-            config.community_size,
-            config.shards,
-            config.phases,
-            config.queries_per_phase,
-            config.shift_per_phase
-        );
-        println!(
-            "controller: one epoch every {} multigets, migration budget {} keys/epoch\n",
-            config.repartition_every, config.migration_budget
-        );
-    }
-    let with = run_drift_scenario(&config)?;
-    let baseline = run_drift_scenario(&DriftConfig {
-        repartition_every: 0,
-        ..config.clone()
-    })?;
-
-    if json {
-        let report = Json::object([
-            ("controller", drift_report_json(&with)),
-            ("baseline", drift_report_json(&baseline)),
-        ]);
-        println!("{report}");
-    } else {
-        println!(
-            "{:>5}  {:>17} {:>8} {:>8}  {:>15} {:>8}  {:>6} {:>6}",
-            "phase",
-            "controller fanout",
-            "p99",
-            "p999",
-            "baseline fanout",
-            "p99",
-            "epochs",
-            "moved"
-        );
-        for (c, b) in with.phases.iter().zip(&baseline.phases) {
+    config.phases = args.get("--phases")?.unwrap_or(config.phases);
+    config.repartition_every = args.get("--every")?.unwrap_or(config.repartition_every);
+    config.migration_budget = args.get("--budget")?.unwrap_or(config.migration_budget);
+    config.seed = args.get("--seed")?.unwrap_or(config.seed);
+    check(
+        config.phases >= 1 && config.repartition_every >= 1 && config.migration_budget >= 1,
+        "--phases, --every, and --budget must all be at least 1",
+    )?;
+    let json = args.switch("--json");
+    Ok(Box::new(move || {
+        if !json {
             println!(
-                "{:>5}  {:>17.4} {:>8.3} {:>8.3}  {:>15.4} {:>8.3}  {:>6} {:>6}",
-                c.phase,
-                c.mean_fanout,
-                c.p99,
-                c.p999,
-                b.mean_fanout,
-                b.p99,
-                c.epochs.len(),
-                c.epochs.iter().map(|e| e.moved_keys).sum::<usize>()
+                "drift scenario: {} communities x {} keys on {} shards, {} phases x {} multigets, \
+                 structure shifts {} keys/phase",
+                config.communities,
+                config.community_size,
+                config.shards,
+                config.phases,
+                config.queries_per_phase,
+                config.shift_per_phase
+            );
+            println!(
+                "controller: one epoch every {} multigets, migration budget {} keys/epoch\n",
+                config.repartition_every, config.migration_budget
             );
         }
-        println!(
-            "\nfinal phase: controller fanout {:.4} vs baseline {:.4} ({:.1}% lower); \
-             migration {} keys total, largest epoch {} (budget {})",
-            with.final_phase_fanout(),
-            baseline.final_phase_fanout(),
-            100.0 * (1.0 - with.final_phase_fanout() / baseline.final_phase_fanout()),
-            with.cumulative_moved,
-            with.max_epoch_moved,
-            with.migration_budget
-        );
-    }
+        let with = run_drift_scenario(&config)?;
+        let baseline = run_drift_scenario(&DriftConfig {
+            repartition_every: 0,
+            ..config.clone()
+        })?;
 
-    if with.max_epoch_moved > config.migration_budget {
-        return Err(ShpError::Runtime(format!(
-            "migration budget violated: an epoch moved {} keys (budget {})",
-            with.max_epoch_moved, config.migration_budget
-        )));
-    }
-    if with.final_phase_fanout() >= baseline.final_phase_fanout() {
-        return Err(ShpError::Runtime(format!(
-            "the controller failed to beat the never-repartition baseline: {:.4} vs {:.4}",
-            with.final_phase_fanout(),
-            baseline.final_phase_fanout()
-        )));
-    }
-    Ok(())
+        if json {
+            let report = Json::object([
+                ("controller", drift_report_json(&with)),
+                ("baseline", drift_report_json(&baseline)),
+            ]);
+            println!("{report}");
+        } else {
+            println!(
+                "{:>5}  {:>17} {:>8} {:>8}  {:>15} {:>8}  {:>6} {:>6}",
+                "phase",
+                "controller fanout",
+                "p99",
+                "p999",
+                "baseline fanout",
+                "p99",
+                "epochs",
+                "moved"
+            );
+            for (c, b) in with.phases.iter().zip(&baseline.phases) {
+                println!(
+                    "{:>5}  {:>17.4} {:>8.3} {:>8.3}  {:>15.4} {:>8.3}  {:>6} {:>6}",
+                    c.phase,
+                    c.mean_fanout,
+                    c.p99,
+                    c.p999,
+                    b.mean_fanout,
+                    b.p99,
+                    c.epochs.len(),
+                    c.epochs.iter().map(|e| e.moved_keys).sum::<usize>()
+                );
+            }
+            println!(
+                "\nfinal phase: controller fanout {:.4} vs baseline {:.4} ({:.1}% lower); \
+                 migration {} keys total, largest epoch {} (budget {})",
+                with.final_phase_fanout(),
+                baseline.final_phase_fanout(),
+                100.0 * (1.0 - with.final_phase_fanout() / baseline.final_phase_fanout()),
+                with.cumulative_moved,
+                with.max_epoch_moved,
+                with.migration_budget
+            );
+        }
+
+        if with.max_epoch_moved > config.migration_budget {
+            return Err(ShpError::Runtime(format!(
+                "migration budget violated: an epoch moved {} keys (budget {})",
+                with.max_epoch_moved, config.migration_budget
+            )));
+        }
+        if with.final_phase_fanout() >= baseline.final_phase_fanout() {
+            return Err(ShpError::Runtime(format!(
+                "the controller failed to beat the never-repartition baseline: {:.4} vs {:.4}",
+                with.final_phase_fanout(),
+                baseline.final_phase_fanout()
+            )));
+        }
+        Ok(())
+    }))
 }
 
 /// Renders one drill run as a JSON object (phase rows plus the headline totals).
@@ -1414,128 +1308,335 @@ fn check_drill_gates(report: &DrillReport) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_drill(args: &[String]) -> ShpResult<()> {
-    let mut quick = false;
-    let mut json = false;
-    let mut budget: Option<usize> = None;
-    let mut replication: Option<u32> = None;
-    let mut seed: Option<u64> = None;
-    let mut metrics: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--quick" || flag == "--json" {
-            if flag == "--quick" {
-                quick = true;
-            } else {
-                json = true;
-            }
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))?;
-        match flag {
-            "--budget" => {
-                budget = Some(value.parse().map_err(|_| {
-                    ShpError::InvalidArgument(format!("invalid migration budget {value:?}"))
-                })?)
-            }
-            "--replication" => {
-                replication = Some(value.parse().map_err(|_| {
-                    ShpError::InvalidArgument(format!("invalid replication factor {value:?}"))
-                })?)
-            }
-            "--seed" => {
-                seed =
-                    Some(value.parse().map_err(|_| {
-                        ShpError::InvalidArgument(format!("invalid seed {value:?}"))
-                    })?)
-            }
-            "--metrics" => metrics = Some(value.clone()),
-            other => return Err(usage_error(format!("unknown option {other:?}"))),
-        }
-        i += 2;
-    }
-
+fn cmd_drill(args: &Parsed) -> ShpResult<Command> {
     let mut config = DrillConfig::default();
-    if quick {
+    if args.switch("--quick") {
         config = config.quick();
     }
-    if let Some(budget) = budget {
-        config.migration_budget = budget;
-    }
-    if let Some(replication) = replication {
-        config.replication = replication;
-    }
-    if let Some(seed) = seed {
-        config.seed = seed;
-    }
-
-    if !json {
-        println!(
-            "failure drill: {} communities x {} keys on {} shards (replication {}), 4 phases \
-             x {} multigets",
-            config.communities,
-            config.community_size,
-            config.shards,
-            config.replication,
-            config.queries_per_phase
-        );
-        println!(
-            "incident script: shard {} crashes, shard {} serves {}x slow; recovery budget {} \
-             keys/epoch\n",
-            config.dead_shard, config.slow_shard, config.slow_factor, config.migration_budget
-        );
-    }
-    let (report, mut snapshot) = run_drill_scenario_with_telemetry(&config)?;
-    if let Some(path) = metrics.as_deref() {
-        snapshot.merge(&shp_telemetry::global().snapshot());
-        write_metrics_file(path, &snapshot)?;
-    }
-
-    if json {
-        println!("{}", drill_report_json(&report));
-    } else {
-        println!(
-            "{:>9}  {:>7} {:>8}  {:>12} {:>8} {:>7} {:>6}",
-            "phase", "fanout", "p99", "availability", "degraded", "retries", "hedged"
-        );
-        for p in &report.phases {
+    config.migration_budget = args.get("--budget")?.unwrap_or(config.migration_budget);
+    config.replication = args.get("--replication")?.unwrap_or(config.replication);
+    config.seed = args.get("--seed")?.unwrap_or(config.seed);
+    let (json, metrics): (bool, Option<String>) = (args.switch("--json"), args.get("--metrics")?);
+    Ok(Box::new(move || {
+        if !json {
             println!(
-                "{:>9}  {:>7.4} {:>8.3}  {:>12.4} {:>8} {:>7} {:>6}",
-                p.name,
-                p.mean_fanout,
-                p.p99,
-                p.availability,
-                p.degraded_queries,
-                p.retries,
-                p.hedges_won
+                "failure drill: {} communities x {} keys on {} shards (replication {}), 4 phases \
+                 x {} multigets",
+                config.communities,
+                config.community_size,
+                config.shards,
+                config.replication,
+                config.queries_per_phase
+            );
+            println!(
+                "incident script: shard {} crashes, shard {} serves {}x slow; recovery budget {} \
+                 keys/epoch\n",
+                config.dead_shard, config.slow_shard, config.slow_factor, config.migration_budget
             );
         }
-        println!(
-            "\ndegraded leg (no replicas): availability {:.4}, {} degraded quer(ies), every \
-             partial result precise ({} mismatches)",
-            report.degraded_leg_availability,
-            report.degraded_leg_degraded,
-            report.missing_mismatches
-        );
-        println!(
-            "recovery: drained {} key(s) in {} epoch(s), largest epoch {} (budget {}), {} \
-             remaining; {} wrong value(s) served",
-            report.recovery_moved,
-            report.recovery_epochs,
-            report.max_epoch_moved,
-            report.migration_budget,
-            report.recovery_remaining,
-            report.wrong_values
-        );
-    }
-    if let Some(path) = metrics.as_deref() {
-        // On stderr, as in `partition`: under --json, stdout holds exactly one JSON object.
-        eprintln!("wrote telemetry snapshot to {path}");
+        let (report, mut snapshot) = run_drill_scenario_with_telemetry(&config)?;
+        if let Some(path) = metrics.as_deref() {
+            snapshot.merge(&shp_telemetry::global().snapshot());
+            write_metrics_file(path, &snapshot)?;
+        }
+
+        if json {
+            println!("{}", drill_report_json(&report));
+        } else {
+            println!(
+                "{:>9}  {:>7} {:>8}  {:>12} {:>8} {:>7} {:>6}",
+                "phase", "fanout", "p99", "availability", "degraded", "retries", "hedged"
+            );
+            for p in &report.phases {
+                println!(
+                    "{:>9}  {:>7.4} {:>8.3}  {:>12.4} {:>8} {:>7} {:>6}",
+                    p.name,
+                    p.mean_fanout,
+                    p.p99,
+                    p.availability,
+                    p.degraded_queries,
+                    p.retries,
+                    p.hedges_won
+                );
+            }
+            println!(
+                "\ndegraded leg (no replicas): availability {:.4}, {} degraded quer(ies), every \
+                 partial result precise ({} mismatches)",
+                report.degraded_leg_availability,
+                report.degraded_leg_degraded,
+                report.missing_mismatches
+            );
+            println!(
+                "recovery: drained {} key(s) in {} epoch(s), largest epoch {} (budget {}), {} \
+                 remaining; {} wrong value(s) served",
+                report.recovery_moved,
+                report.recovery_epochs,
+                report.max_epoch_moved,
+                report.migration_budget,
+                report.recovery_remaining,
+                report.wrong_values
+            );
+        }
+        if let Some(path) = metrics.as_deref() {
+            // On stderr, as in `partition`: under --json, stdout holds exactly one JSON object.
+            eprintln!("wrote telemetry snapshot to {path}");
+        }
+
+        check_drill_gates(&report)
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
-    check_drill_gates(&report)
+    /// The message of the argument error `line` must produce.
+    fn argument_error(line: &str) -> String {
+        match parse_command(&argv(line)) {
+            Err(ShpError::InvalidArgument(message)) => message,
+            Err(other) => panic!("{line}: not an argument error: {other}"),
+            Ok(_) => panic!("{line}: accepted"),
+        }
+    }
+
+    fn assert_rejected(cases: &[(&str, &str)]) {
+        for &(line, message) in cases {
+            assert_eq!(argument_error(line), message, "shp {line}");
+        }
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_rejected() {
+        assert_rejected(&[
+            (
+                "partition g.hgr 8 g.part --seed 1 --seed 2",
+                "--seed is given more than once",
+            ),
+            (
+                "convert g.hgr g.shpb --to shpb --to hmetis",
+                "--to is given more than once",
+            ),
+            (
+                "serve --rate 10 --rate 20",
+                "--rate is given more than once",
+            ),
+            (
+                "drill --json --quick --json",
+                "--json is given more than once",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn an_unknown_option_is_named_before_any_value_is_demanded() {
+        assert_rejected(&[
+            ("convert g.hgr g.shpb --bogus", "unknown option \"--bogus\""),
+            (
+                "partition g.hgr 8 g.part --bogus",
+                "unknown option \"--bogus\"",
+            ),
+            ("controller --quick --bogus", "unknown option \"--bogus\""),
+            // The serve-only flags are not in replay's table.
+            (
+                "replay --partition p.part",
+                "unknown option \"--partition\"",
+            ),
+            (
+                "replay --repartition-every 10",
+                "unknown option \"--repartition-every\"",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn help_is_answered_by_every_subcommand_without_touching_a_file() {
+        for spec in SPECS {
+            for help in ["--help", "-h"] {
+                let args = argv(&format!("{} x {help}", spec.name));
+                assert!(matches!(parse(spec, &args[1..]), Ok(None)), "{args:?}");
+            }
+        }
+        // `metrics --help` once tried to open a file named `--help`.
+        let metrics = find_spec("metrics").unwrap();
+        assert!(matches!(parse(metrics, &argv("--help")), Ok(None)));
+    }
+
+    #[test]
+    fn zero_workers_and_zero_clients_are_rejected() {
+        assert_rejected(&[
+            (
+                "convert g.hgr g.shpb --workers 0",
+                "at least 1 worker is required",
+            ),
+            ("serve --workers 0", "at least 1 worker is required"),
+            ("replay --clients 0", "at least 1 client is required"),
+            ("serve --clients 0", "at least 1 client is required"),
+        ]);
+    }
+
+    #[test]
+    fn missing_values_positionals_and_unparsable_values_have_one_wording_each() {
+        assert_rejected(&[
+            ("partition g.hgr 8 g.part --seed", "--seed needs a value"),
+            (
+                "evaluate g.hgr g.part",
+                "`shp evaluate` takes 3 positional argument(s), got 2",
+            ),
+            (
+                "algorithms extra",
+                "`shp algorithms` takes 0 positional argument(s), got 1",
+            ),
+            ("partition g.hgr x g.part", "invalid value \"x\" for <k>"),
+            (
+                "generate nowhere 0.1 g.hgr",
+                "invalid value \"nowhere\" for <dataset>",
+            ),
+            ("serve --seed -1", "invalid value \"-1\" for --seed"),
+            ("convert a b --from pdf", "invalid value \"pdf\" for --from"),
+            ("generate email-Enron 2 g.hgr", "scale must lie in (0, 1]"),
+            ("serve --shards 1", "at least 2 shards are required"),
+            ("replay --rate NaN", "rate must be a positive number"),
+            (
+                "serve --migration-budget 0",
+                "the migration budget must be at least 1",
+            ),
+            (
+                "controller --phases 0",
+                "--phases, --every, and --budget must all be at least 1",
+            ),
+            ("frobnicate", "unknown subcommand \"frobnicate\""),
+            ("", "no subcommand given"),
+        ]);
+    }
+
+    #[test]
+    fn flag_combinations_are_checked_before_anything_runs() {
+        assert_rejected(&[
+            (
+                "generate email-Enron 0.1 g.hgr --stream",
+                "--stream writes a .shpb container: give the output a .shpb extension",
+            ),
+            (
+                "serve --mmap",
+                "--mmap requires --graph <file.shpb> (a generated dataset has no on-disk \
+                 container to map)",
+            ),
+            (
+                "serve --partition p.part",
+                "--partition requires --graph (a generated dataset has no saved placement)",
+            ),
+        ]);
+        let social = argument_error("generate soc-Pokec 0.1 g.shpb --stream");
+        assert!(social.contains("uses the social generator"), "{social}");
+    }
+
+    #[test]
+    fn every_documented_command_line_parses_without_touching_a_file() {
+        for line in [
+            "generate web-Stanford 0.02 /nonexistent/oc.shpb --stream",
+            "algorithms",
+            "convert /nonexistent/g.txt /nonexistent/g2.shpb --workers 4 --from edgelist",
+            "partition /nonexistent/g.shpb 64 /nonexistent/cli.part --mode shp2 --workers 2 \
+             --epsilon 0.05 --seed 1 --p 0.5 --json --mmap --iterations 2 --metrics m.json",
+            "evaluate /nonexistent/g.shpb /nonexistent/g.part 8 --json",
+            "replay --scale 0.02 --rate 400 --duration 20 --metrics m.json",
+            "serve --graph /nonexistent/oc.shpb --partition p.part --shards 8 --mmap --rate 400",
+            "serve --scale 0.05 --shards 4 --repartition-every 200 --migration-budget 64",
+            "controller --quick --json",
+            "drill --quick --json --metrics /nonexistent/drill.json",
+            "metrics --prometheus /nonexistent/m.json",
+        ] {
+            assert!(parse_command(&argv(line)).is_ok(), "shp {line}");
+        }
+    }
+
+    #[test]
+    fn serve_options_default_as_documented() {
+        let serve = find_spec("serve").unwrap();
+        let options = ServeOptions::from_args(&parse(serve, &[]).unwrap().unwrap()).unwrap();
+        assert_eq!(options.dataset, Dataset::EmailEnron);
+        assert_eq!((options.graph, options.partition), (None, None));
+        assert_eq!(
+            (options.scale, options.rate, options.duration),
+            (0.05, 200.0, 60.0)
+        );
+        assert_eq!((options.shards, options.clients, options.cache), (16, 4, 0));
+        assert_eq!((options.seed, options.workers), (0x5047, 4));
+        assert_eq!(
+            (options.repartition_every, options.migration_budget),
+            (0, 256)
+        );
+        assert!(options.metrics.is_none() && !options.mmap);
+    }
+
+    #[test]
+    fn the_usage_text_lists_every_flag_of_every_table() {
+        let usage = usage();
+        for spec in SPECS {
+            let synopsis = spec.synopsis();
+            assert!(usage.contains(&synopsis), "{}", spec.name);
+            for entry in spec.positionals.iter().chain(spec.flags) {
+                let word = if entry.starts_with('<') {
+                    entry.to_string()
+                } else {
+                    format!("[{entry}]")
+                };
+                assert!(synopsis.contains(&word), "{} lacks {word}", spec.name);
+            }
+            assert!(synopsis.lines().all(|line| line.len() <= SYNOPSIS_WIDTH));
+        }
+    }
+
+    /// Values that have tripped hand-written parsers: empty, negative, not-a-number,
+    /// overflowing floats and integers, and bare dashes.
+    const VALUES: &[&str] = &[
+        "",
+        "-1",
+        "0",
+        "1",
+        "2",
+        "0.5",
+        "NaN",
+        "inf",
+        "1e400",
+        "18446744073709551616",
+        "--",
+        "-",
+        "x",
+        "email-Enron",
+        "shpb",
+        "g.shpb",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn any_argv_parses_or_is_an_argument_error(
+            spec in 0usize..SPECS.len(),
+            tokens in prop::collection::vec(0usize..10_000, 0..12),
+        ) {
+            // The subcommand's own flags, every other subcommand's flags, every positional
+            // name, and the values above.
+            let own = SPECS[spec].flags.iter();
+            let every = SPECS.iter().flat_map(|s| s.flags.iter().chain(s.positionals));
+            let soup: Vec<&str> = own
+                .chain(every)
+                .map(|entry| entry.split(' ').next().unwrap_or(entry))
+                .chain(VALUES.iter().copied())
+                .collect();
+            let mut args = vec![SPECS[spec].name.to_string()];
+            args.extend(tokens.iter().map(|&t| soup[t % soup.len()].to_string()));
+            let outcome = parse_command(&args);
+            prop_assert!(
+                matches!(outcome, Ok(_) | Err(ShpError::InvalidArgument(_))),
+                "{args:?} gave another error"
+            );
+        }
+    }
 }

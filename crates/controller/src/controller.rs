@@ -2,7 +2,7 @@
 //!
 //! Each controller **epoch** performs the paper's production cycle (Section 5) end to end:
 //!
-//! 1. drain the [`AccessTraceCollector`](crate::AccessTraceCollector)'s reservoir into the
+//! 1. drain the [`AccessTraceCollector`]'s reservoir into the
 //!    observed co-access graph;
 //! 2. run [`partition_incremental`] seeded from the *live* placement, with the migration
 //!    budget enforced deterministically by `IncrementalConfig::max_moves`;

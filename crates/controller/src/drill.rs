@@ -26,7 +26,7 @@
 //! not just non-crashing.
 //!
 //! Every returned value (on both legs) is verified against
-//! [`value_of`](shp_serving::value_of); `wrong_values` in the report must be zero — a
+//! [`value_of`]; `wrong_values` in the report must be zero — a
 //! failover or hedge must never serve a stale or corrupt record.
 //!
 //! The whole drill is deterministic for a given config (single serving thread, seeded

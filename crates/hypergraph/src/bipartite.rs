@@ -48,7 +48,7 @@ pub(crate) type RawCsr<'a> = (
 /// assert_eq!(graph.query_neighbors(1), &[0, 1, 2, 3]);
 /// assert_eq!(graph.data_neighbors(0), &[0, 1]);
 /// ```
-/// Every section is a [`Section`]: either heap-owned (builders, text readers, the copying
+/// Every section is a `Section`: either heap-owned (builders, text readers, the copying
 /// binary reader) or a zero-copy borrowed view of a memory-mapped `.shpb` file
 /// ([`crate::io::map_shpb_file`]). Equality compares contents, so an owned graph and a mapped
 /// view of its serialization are equal.

@@ -557,9 +557,13 @@ pub fn write_partition<W: Write>(partition: &Partition, writer: W) -> Result<()>
     w.finish()
 }
 
-/// Writes a partition file to a path.
+/// Writes a partition file to a path, atomically: a concurrent reader (or a reader after a
+/// crash) sees the previous file or the complete new one, never a prefix.
 pub fn write_partition_file<P: AsRef<Path>>(partition: &Partition, path: P) -> Result<()> {
-    write_partition(partition, std::fs::File::create(path)?)
+    let mut bytes = Vec::new();
+    write_partition(partition, &mut bytes)?;
+    shp_telemetry::export::write_atomically(path.as_ref(), &bytes)?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------------------------
@@ -1019,6 +1023,35 @@ mod tests {
         write_partition_file(&p, &part_path).unwrap();
         let p2 = read_partition_file(&g, 3, &part_path).unwrap();
         assert_eq!(p, p2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_partition_write_leaves_the_old_file_intact() {
+        let dir = std::env::temp_dir().join(format!("shp-io-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = figure1();
+        let part_path = dir.join("graph.part");
+        let old = Partition::from_assignment(&g, 3, vec![0, 1, 2, 0, 1, 2]).unwrap();
+        write_partition_file(&old, &part_path).unwrap();
+        let before = std::fs::read(&part_path).unwrap();
+
+        // A trailing slash names the existing regular file as a directory: the sibling temp
+        // file is written and synced, then the rename over the target fails.
+        let new = Partition::from_assignment(&g, 3, vec![2, 1, 0, 2, 1, 0]).unwrap();
+        let as_directory = format!("{}/", part_path.display());
+        assert!(write_partition_file(&new, &as_directory).is_err());
+
+        assert_eq!(std::fs::read(&part_path).unwrap(), before);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

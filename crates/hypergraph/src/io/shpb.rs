@@ -22,7 +22,7 @@
 //! |        | 8·(D+1) | data CSR offsets (`u64`) |
 //! |        | 4·P  | data adjacency (`u32` query ids) |
 //! |        | 4·D  | data weights (`u32`), only when flag bit 0 is set |
-//! |        | 8    | `u64` [`BodyHasher`] checksum of all section bytes (version ≥ 2) |
+//! |        | 8    | `u64` `BodyHasher` checksum of all section bytes (version ≥ 2) |
 //!
 //! Version 2 (this revision) appends an 8-byte body-checksum trailer after the sections: a
 //! fast four-lane multiply-xor hash of every section byte, computed streamingly by the

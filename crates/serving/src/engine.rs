@@ -245,10 +245,11 @@ impl ServingEngine {
             observer.observe(&distinct);
         }
 
-        // Split into cache hits and misses.
+        // Split into cache hits and misses; without a cache every distinct key is a miss.
         let mut values: Vec<(DataId, u64)> = Vec::with_capacity(distinct.len());
-        let mut misses: Vec<DataId> = Vec::with_capacity(distinct.len());
-        if self.config.cache_capacity > 0 {
+        let mut misses: Vec<DataId> = Vec::new();
+        let routed = if self.config.cache_capacity > 0 {
+            misses.reserve(distinct.len());
             for &key in &distinct {
                 if key as usize >= self.num_keys {
                     return Err(ServingError::KeyOutOfRange {
@@ -261,9 +262,10 @@ impl ServingEngine {
                     None => misses.push(key),
                 }
             }
+            &misses
         } else {
-            misses = distinct.clone();
-        }
+            &distinct
+        };
         let cache_hits = values.len();
 
         // Route the misses and execute one batch per contacted shard. The cache-hit floor
@@ -271,7 +273,7 @@ impl ServingEngine {
         // latency is purely what the shards charge.
         let plan = {
             let _route = self.route_timer.start();
-            self.router.route(&generation.snapshot, &misses)?
+            self.router.route(&generation.snapshot, routed)?
         };
         let fanout = plan.fanout();
         let mut latency = if cache_hits > 0 {

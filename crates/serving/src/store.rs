@@ -417,7 +417,7 @@ impl ShardSet {
 
     /// [`ShardSet::execute`] with optional fault injection: with `faults: None` it delegates
     /// verbatim; with an injector it advances the query clock one tick and serves every batch
-    /// through [`ShardSet::serve_batch_failover`], degrading unreachable batches into
+    /// through `ShardSet::serve_batch_failover`, degrading unreachable batches into
     /// `missing` keys. An empty [`shp_faults::FaultPlan`] produces bit-identical results to
     /// the no-fault path (the retained conformance oracle).
     ///
